@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"bayou/internal/core"
 	"bayou/internal/livenet"
@@ -35,10 +34,8 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint once this many commits accumulate past the last one (0: manual only)")
 	lease := flag.Bool("lease", false, "serve strong read-only operations locally on the sequencer (leader lease)")
 	dataDir := flag.String("data-dir", "", "directory for durable snapshots; empty runs the node volatile (recovery by peer rescue only)")
-	keep := flag.Int("keep", 0, "snapshot generations to retain in -data-dir (0: default)")
 	seed := flag.Int64("seed", 0, "seed for this node's randomized behavior (dial jitter, fault injection)")
 	chaos := flag.String("chaos", "", "wire fault-injection spec, e.g. drop=0.02,dup=0.02,reorder=0.02,flip=0.01,trunc=0.005,delay=0.05,delaymax=5ms (testing only)")
-	antiEntropy := flag.Duration("anti-entropy", 250*time.Millisecond, "interval between background peer resyncs (0: disabled)")
 	flag.Parse()
 
 	list := strings.Split(*addrs, ",")
@@ -62,16 +59,14 @@ func main() {
 		os.Exit(2)
 	}
 	if err := livenet.ServeNode(livenet.NodeConfig{
-		ID:               *id,
-		Variant:          v,
-		CheckpointEvery:  *ckptEvery,
-		LeaderLease:      *lease,
-		Addrs:            list,
-		DataDir:          *dataDir,
-		Keep:             *keep,
-		Seed:             *seed,
-		Chaos:            faults,
-		AntiEntropyEvery: *antiEntropy,
+		ID:              *id,
+		Variant:         v,
+		CheckpointEvery: *ckptEvery,
+		LeaderLease:     *lease,
+		Addrs:           list,
+		DataDir:         *dataDir,
+		Seed:            *seed,
+		Chaos:           faults,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "bayou-node: %v\n", err)
 		os.Exit(1)

@@ -13,14 +13,17 @@ import (
 )
 
 // ErrUnsupported is returned for environment controls a driver cannot
-// express (e.g. partitions on the live driver).
+// express (e.g. Ω switches, link slowdown or electing another leader on the
+// live driver; socket peers on the simulator).
 var ErrUnsupported = errors.New("bayou: operation not supported by this driver")
 
-// Driver is the substrate a Cluster runs on: the deterministic simulator
-// (New) or the goroutine-per-replica live deployment (NewLive). Both expose
-// the same session-oriented operations, feed the same record.Recorder, and
-// therefore produce comparable histories, checker verdicts and watch
-// streams.
+// Driver is the substrate a Cluster runs on. There are two drivers and three
+// deployments: the deterministic simulator (New), and the live controller
+// (NewLive) over goroutine replicas in this process or, with WithPeers, over
+// bayou-node processes reached by TCP. All expose the same operations and
+// feed the same record.Recorder — which also holds the session table, so
+// sessions are minted and re-bound there, not here — and therefore produce
+// comparable histories, checker verdicts and watch streams.
 //
 // The interface references internal types, so it is satisfiable only from
 // within this module (a sealed interface): it exists to keep the façade
@@ -29,12 +32,8 @@ var ErrUnsupported = errors.New("bayou: operation not supported by this driver")
 type Driver interface {
 	// Replicas returns the deployment size.
 	Replicas() int
-	// Recorder exposes the shared observation layer.
+	// Recorder exposes the shared observation layer and session table.
 	Recorder() *record.Recorder
-	// OpenSession mints a fresh sequential session bound to a replica.
-	// Guarantees are registered on the shared Recorder (SetGuarantees),
-	// which is what makes them travel with the session across re-binds.
-	OpenSession(replica int) (core.SessionID, error)
 	// Invoke submits an operation on a session at an explicit target
 	// replica; the returned call fills in as the deployment makes
 	// progress. For guarantee-carrying sessions the target must prove
@@ -42,9 +41,6 @@ type Driver interface {
 	// parks (WaitForCoverage) or the invocation fails with ErrGuarantee
 	// (FailFast).
 	Invoke(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error)
-	// Bind re-binds a session to another replica (mobile-session
-	// migration); a session with an outstanding call cannot move.
-	Bind(sess core.SessionID, replica int) error
 	// Coverage reports whether the replica's state currently dominates
 	// the session's guarantee vectors — the failover-target probe.
 	Coverage(sess core.SessionID, replica int) (bool, error)
@@ -85,15 +81,17 @@ type Driver interface {
 	Close() error
 }
 
-// FaultPlane scripts failures through the public API. Both substrates
-// implement it: the simulator maps faults onto simnet and the cluster's
-// crash–recovery machinery; the live driver maps crashes onto replica
-// goroutine stop/restart and partitions onto parked channel traffic.
-// Whatever the substrate, a recovering replica restores its durable image
-// (committed prefix, dot counter, client continuations), refetches the
-// tentative suffix via RB retransmission, and catches up on decided slots
-// through the TOB learner — so the same fault script yields comparable
-// histories on both.
+// FaultPlane scripts failures through the public API. Every deployment
+// implements it: the simulator maps faults onto simnet and the cluster's
+// crash–recovery machinery; the live controller keeps one fault view
+// (partition cells, crashed set) and pushes it to its carrier — in-process
+// cross-cell channel traffic parks in the fabric, over sockets each node
+// process parks its own cross-cell frames — while a crash drops the
+// replica automaton's volatile state in place. Whatever the deployment, a
+// recovering replica restores its durable image (committed prefix, dot
+// counter, client continuations), refetches the tentative suffix via RB
+// retransmission, and catches up on the commits it slept through — so the
+// same fault script yields comparable histories on all three.
 type FaultPlane interface {
 	// Crash silently crashes a replica: volatile state is lost, traffic
 	// toward it is dropped, sessions bound to it are rejected. (The live
@@ -167,16 +165,8 @@ func newSimDriver(o config) (*simDriver, error) {
 func (d *simDriver) Replicas() int              { return d.n }
 func (d *simDriver) Recorder() *record.Recorder { return d.c.Recorder() }
 
-func (d *simDriver) OpenSession(replica int) (core.SessionID, error) {
-	return d.c.OpenSession(core.ReplicaID(replica))
-}
-
 func (d *simDriver) Invoke(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
 	return d.c.InvokeSessionAt(sess, core.ReplicaID(replica), op, level)
-}
-
-func (d *simDriver) Bind(sess core.SessionID, replica int) error {
-	return d.c.BindSession(sess, core.ReplicaID(replica))
 }
 
 func (d *simDriver) Coverage(sess core.SessionID, replica int) (bool, error) {

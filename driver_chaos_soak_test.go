@@ -61,20 +61,16 @@ func newChaosCluster(t *testing.T, o launch.Options) (*Cluster, *launch.Deployme
 	return c, d
 }
 
-// remote reaches through the façade to the controller's livenet client —
-// same-package access for durability introspection the public API
-// deliberately does not carry.
-func remote(t *testing.T, c *Cluster) *livenet.Remote {
+// remote reaches through the façade to the livenet controller — same-package
+// access for durability introspection the public API deliberately does not
+// carry.
+func remote(t *testing.T, c *Cluster) *livenet.Controller {
 	t.Helper()
 	ld, ok := c.Driver().(*liveDriver)
 	if !ok {
 		t.Fatalf("driver is %T, want *liveDriver", c.Driver())
 	}
-	rm, ok := ld.c.(*livenet.Remote)
-	if !ok {
-		t.Fatalf("deployment is %T, want *livenet.Remote", ld.c)
-	}
-	return rm
+	return ld.c
 }
 
 // TestDriverSocketDurableRestart is the focused recovery check: a node is

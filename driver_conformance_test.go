@@ -106,6 +106,23 @@ func runConformance(t *testing.T, c *Cluster) conformanceOutcome {
 		}
 	}
 
+	// A replica id outside the deployment is an error on every substrate,
+	// never an index panic.
+	for _, r := range []int{-1, c.Replicas(), 7} {
+		if _, err := c.Read(r, "ctr"); err == nil {
+			t.Errorf("Read(%d) succeeded, want an error", r)
+		}
+		if _, err := c.Committed(r); err == nil {
+			t.Errorf("Committed(%d) succeeded, want an error", r)
+		}
+		if _, err := c.CheckpointedLen(r); err == nil {
+			t.Errorf("CheckpointedLen(%d) succeeded, want an error", r)
+		}
+		if _, err := sessions["a"].Covered(r); err == nil {
+			t.Errorf("Session.Covered(%d) succeeded, want an error", r)
+		}
+	}
+
 	c.MarkStable()
 	probe, err := c.Session(0)
 	if err != nil {

@@ -16,15 +16,15 @@ import (
 // hitting this limit indicates a real defect, not a slow run.
 const liveTimeout = 30 * time.Second
 
-// liveDriver adapts internal/livenet — one goroutine per replica, channel
-// links, primary-commit total order — to the Driver interface. Progress is
-// continuous and in the background: Run sleeps instead of stepping, Settle
-// waits for quiescence instead of driving it. Environment controls the
-// substrate cannot express (partitions, Ω manipulation, per-replica timing)
-// return ErrUnsupported.
+// liveDriver adapts the internal/livenet controller — primary-commit total
+// order over in-process goroutine replicas or over bayou-node processes —
+// to the Driver interface. Progress is continuous and in the background:
+// Run sleeps instead of stepping, Settle waits for quiescence instead of
+// driving it. Crash, recover, partition and heal are all supported;
+// environment controls the substrate cannot express (Ω manipulation, link
+// and per-replica timing) return ErrUnsupported.
 type liveDriver struct {
-	c livenet.Deployment
-	n int
+	c *livenet.Controller
 }
 
 // newLiveDriver builds the live substrate from validated options. With
@@ -51,7 +51,7 @@ func newLiveDriver(o config) (*liveDriver, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &liveDriver{c: inner, n: len(o.Peers)}, nil
+		return &liveDriver{c: inner}, nil
 	}
 	// The live substrate always totally orders through the replica-0
 	// sequencer, so UsePrimaryTOB is already true and Seed has no effect.
@@ -61,22 +61,14 @@ func newLiveDriver(o config) (*liveDriver, error) {
 		CheckpointEvery: o.CheckpointEvery,
 		LeaderLease:     o.LeaderLease,
 	})
-	return &liveDriver{c: inner, n: o.Replicas}, nil
+	return &liveDriver{c: inner}, nil
 }
 
-func (d *liveDriver) Replicas() int              { return d.n }
+func (d *liveDriver) Replicas() int              { return d.c.Replicas() }
 func (d *liveDriver) Recorder() *record.Recorder { return d.c.Recorder() }
 
-func (d *liveDriver) OpenSession(replica int) (core.SessionID, error) {
-	return d.c.OpenSession(replica)
-}
-
 func (d *liveDriver) Invoke(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	return d.c.InvokeSessionAt(sess, replica, op, level)
-}
-
-func (d *liveDriver) Bind(sess core.SessionID, replica int) error {
-	return d.c.BindSession(sess, replica)
+	return d.c.Invoke(sess, replica, op, level)
 }
 
 func (d *liveDriver) Coverage(sess core.SessionID, replica int) (bool, error) {
@@ -116,27 +108,15 @@ func (d *liveDriver) Destabilize() error {
 	return fmt.Errorf("%w: live Ω cannot be destabilized", ErrUnsupported)
 }
 
-func (d *liveDriver) Faults() FaultPlane { return liveFaults{d} }
+func (d *liveDriver) Faults() FaultPlane { return liveFaults{d.c} }
 
-// liveFaults maps the fault plane onto the goroutine-per-replica substrate:
-// crashes stop (and recoveries restart) a replica's protocol loop around
-// its durable snapshot, partitions park channel traffic until heal. Link
-// timing is not a concept the channel substrate has, so SlowLink is
-// unsupported.
-type liveFaults struct {
-	d *liveDriver
-}
+// liveFaults is the controller's own fault plane — crashes stop (and
+// recoveries restart) a replica's protocol loop around its durable
+// snapshot, partitions park cross-cell traffic until heal — plus the one
+// control neither carrier has a concept for: link timing.
+type liveFaults struct{ *livenet.Controller }
 
-func (f liveFaults) Crash(replica int) error   { return f.d.c.Crash(replica) }
-func (f liveFaults) Recover(replica int) error { return f.d.c.Recover(replica) }
-
-func (f liveFaults) Partition(cells ...[]int) error {
-	return f.d.c.Partition(cells)
-}
-
-func (f liveFaults) Heal() error { return f.d.c.Heal() }
-
-func (f liveFaults) SlowLink(a, b int, factor int64) error {
+func (liveFaults) SlowLink(a, b int, factor int64) error {
 	return fmt.Errorf("%w: the live substrate has no link timing to degrade", ErrUnsupported)
 }
 
@@ -154,7 +134,7 @@ func (d *liveDriver) Stats() (map[core.ReplicaID]core.Stats, error) {
 
 func (d *liveDriver) Compact() (int, error)    { return d.c.Compact(liveTimeout) }
 func (d *liveDriver) Checkpoint() (int, error) { return d.c.Checkpoint(liveTimeout) }
-func (d *liveDriver) MarkStable()              { d.c.MarkStable() }
+func (d *liveDriver) MarkStable()              { d.c.Recorder().MarkStable() }
 
 func (d *liveDriver) BaseLen(replica int) (int, error) {
 	return d.c.BaseLen(replica, liveTimeout)

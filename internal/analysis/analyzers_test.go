@@ -24,7 +24,7 @@ func TestLockcheck(t *testing.T) {
 
 func TestLayering(t *testing.T) {
 	analysistest.Run(t, filepath.Join("testdata", "layering"), analysis.Layering,
-		"bayou", "bayou/internal/core", "bayou/internal/check")
+		"bayou", "bayou/internal/core", "bayou/internal/check", "bayou/internal/livenet")
 }
 
 func TestEffectsHygiene(t *testing.T) {

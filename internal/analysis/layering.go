@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -16,7 +17,11 @@ import (
 //     the drivers that host it);
 //   - internal/check, internal/history and internal/record are the
 //     substrate-blind observation layer: verdicts and histories must stay
-//     comparable across substrates, so they may not import any substrate.
+//     comparable across substrates, so they may not import any substrate;
+//   - a session is a client of the system, not part of a replica or of the
+//     machinery that hosts one: the one session table is record.Recorder's,
+//     so the two driver packages may not declare a struct field keyed by
+//     core.SessionID again.
 var Layering = &Analyzer{
 	Name: "layering",
 	Doc:  "enforce the sealed-driver import architecture (façade/driver/substrate, substrate-blind checkers)",
@@ -52,9 +57,20 @@ var substrateBlind = map[string]bool{
 	"bayou/internal/record":  true,
 }
 
+// sessionTableFree are the driver packages that once each kept their own
+// session→replica registry (and the socket controller a pending-call mirror
+// besides).
+var sessionTableFree = map[string]bool{
+	"bayou/internal/cluster": true,
+	"bayou/internal/livenet": true,
+}
+
 func runLayering(pass *Pass) error {
 	pkgPath := pass.Pkg.Path()
 	for _, f := range pass.Files {
+		if sessionTableFree[pkgPath] {
+			checkSessionTables(pass, f)
+		}
 		fileName := pass.Fset.Position(f.Pos()).Filename
 		base := fileName[strings.LastIndexByte(fileName, '/')+1:]
 		for _, imp := range f.Imports {
@@ -83,4 +99,25 @@ func checkImport(pass *Pass, pkgPath, fileBase string, imp *ast.ImportSpec, path
 			pass.Reportf(imp.Pos(), "%s imports substrate package %s: the observation layer must stay substrate-blind so histories and verdicts are comparable across drivers", pkgPath, path)
 		}
 	}
+}
+
+// checkSessionTables reports every struct field of type map[core.SessionID]….
+func checkSessionTables(pass *Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			m, ok := pass.TypesInfo.TypeOf(field.Type).(*types.Map)
+			if !ok {
+				continue
+			}
+			key, ok := m.Key().(*types.Named)
+			if ok && key.Obj().Name() == "SessionID" && key.Obj().Pkg() != nil && key.Obj().Pkg().Path() == "bayou/internal/core" {
+				pass.Reportf(field.Pos(), "%s declares a session registry (a field of type %s): sessions live in record.Recorder's table, not in a driver", pass.Pkg.Path(), m)
+			}
+		}
+		return true
+	})
 }

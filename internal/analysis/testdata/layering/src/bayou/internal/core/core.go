@@ -6,3 +6,5 @@ import (
 )
 
 type Dot struct{}
+
+type SessionID int64

@@ -1,4 +1,10 @@
 // Package livenet is a stand-in for the live driver substrate.
 package livenet
 
-type Cluster struct{}
+import "bayou/internal/core"
+
+type Controller struct {
+	sessions  map[core.SessionID]int // want `bayou/internal/livenet declares a session registry`
+	byReplica map[int]core.SessionID // a SessionID value is no registry
+	last      core.SessionID
+}

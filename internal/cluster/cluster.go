@@ -103,14 +103,12 @@ type Call = record.Call
 // Cluster is a running deployment. Construct with New. Not safe for
 // concurrent use: everything runs on the simulator's single thread.
 type Cluster struct {
-	cfg      Config
-	sched    *sim.Scheduler
-	net      *simnet.Network
-	omega    *fd.Omega
-	nodes    []*node
-	rec      *record.Recorder
-	sessions map[core.SessionID]core.ReplicaID
-	nextSess core.SessionID
+	cfg   Config
+	sched *sim.Scheduler
+	net   *simnet.Network
+	omega *fd.Omega
+	nodes []*node
+	rec   *record.Recorder
 }
 
 type node struct {
@@ -166,16 +164,9 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Latency = 10
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		sched:    sim.New(cfg.Seed),
-		rec:      record.New(),
-		sessions: make(map[core.SessionID]core.ReplicaID, cfg.N),
-		nextSess: core.SessionID(cfg.N),
-	}
-	// Sessions 0..N-1 are the default one-session-per-replica bindings of
-	// the legacy façade; OpenSession mints fresh ids from N on.
-	for i := 0; i < cfg.N; i++ {
-		c.sessions[core.SessionID(i)] = core.ReplicaID(i)
+		cfg:   cfg,
+		sched: sim.New(cfg.Seed),
+		rec:   record.New(cfg.N),
 	}
 	if cfg.LeaseTicks > 0 {
 		// The lease-read serve gate needs per-session cast/commit tracking;
@@ -384,64 +375,12 @@ func (c *Cluster) Recover(id core.ReplicaID) error {
 // sequential: a client blocked on a strong operation cannot issue more work.
 var ErrSessionBusy = record.ErrSessionBusy
 
-// OpenSession mints a fresh sequential session bound to the given replica.
-// Any number of sessions can share a replica; each is individually
-// sequential but their invocations may freely overlap.
-func (c *Cluster) OpenSession(id core.ReplicaID) (core.SessionID, error) {
-	if int(id) < 0 || int(id) >= c.cfg.N {
-		return 0, fmt.Errorf("cluster: no replica %d", id)
-	}
-	s := c.nextSess
-	c.nextSess++
-	c.sessions[s] = id
-	return s, nil
-}
-
-// SessionReplica returns the replica a session is bound to.
-func (c *Cluster) SessionReplica(s core.SessionID) (core.ReplicaID, bool) {
-	id, ok := c.sessions[s]
-	return id, ok
-}
-
-// BindSession re-binds a session to another replica — the mobile-session
-// migration step. The session's guarantee vectors travel with it (they live
-// on the shared recorder), so the next invocation at the new replica is
-// gated on the same coverage demands. A session with an outstanding call
-// cannot move: its continuation is owed by the old replica.
-func (c *Cluster) BindSession(sess core.SessionID, id core.ReplicaID) error {
-	if int(id) < 0 || int(id) >= c.cfg.N {
-		return fmt.Errorf("cluster: no replica %d", id)
-	}
-	if _, ok := c.sessions[sess]; !ok {
-		return fmt.Errorf("cluster: unknown session %d", sess)
-	}
-	if c.rec.SessionBusy(sess) {
-		return fmt.Errorf("%w: session %d cannot re-bind", ErrSessionBusy, sess)
-	}
-	c.sessions[sess] = id
-	return nil
-}
-
 // Invoke submits an operation at a replica on its default session (session
-// id == replica id) and returns the call handle, which fills in when the
-// response arrives. Multi-session clients use OpenSession + InvokeSession.
+// id == replica id, pre-opened by the recorder) and returns the call handle,
+// which fills in when the response arrives. Multi-session clients mint ids
+// with Recorder().OpenSession and use InvokeSessionAt.
 func (c *Cluster) Invoke(id core.ReplicaID, op spec.Op, level core.Level) (*Call, error) {
-	if int(id) < 0 || int(id) >= c.cfg.N {
-		return nil, fmt.Errorf("cluster: no replica %d", id)
-	}
-	return c.InvokeSession(core.SessionID(id), op, level)
-}
-
-// InvokeSession submits an operation on the given session, at the replica
-// the session is currently bound to. It rejects a session whose previous
-// call has not returned (ErrSessionBusy): sessions are the sequential
-// clients of §3.2.
-func (c *Cluster) InvokeSession(sess core.SessionID, op spec.Op, level core.Level) (*Call, error) {
-	id, ok := c.sessions[sess]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown session %d", sess)
-	}
-	return c.InvokeSessionAt(sess, id, op, level)
+	return c.InvokeSessionAt(core.SessionID(id), id, op, level)
 }
 
 // InvokeSessionAt submits an operation on the given session at an explicit
@@ -451,9 +390,6 @@ func (c *Cluster) InvokeSession(sess core.SessionID, op spec.Op, level core.Leve
 // invocation parks until it can (WaitForCoverage) or fails with
 // record.ErrGuarantee (FailFast).
 func (c *Cluster) InvokeSessionAt(sess core.SessionID, id core.ReplicaID, op spec.Op, level core.Level) (*Call, error) {
-	if _, ok := c.sessions[sess]; !ok {
-		return nil, fmt.Errorf("cluster: unknown session %d", sess)
-	}
 	if int(id) < 0 || int(id) >= c.cfg.N {
 		return nil, fmt.Errorf("cluster: no replica %d", id)
 	}
@@ -461,9 +397,9 @@ func (c *Cluster) InvokeSessionAt(sess core.SessionID, id core.ReplicaID, op spe
 	if n.crashed {
 		return nil, fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, id, sess)
 	}
-	g, mode, busy := c.rec.SessionGate(sess)
-	if busy {
-		return nil, fmt.Errorf("%w: session %d", ErrSessionBusy, sess)
+	g, mode, err := c.rec.SessionGate(sess)
+	if err != nil {
+		return nil, err
 	}
 	if g == 0 {
 		if call, ok := c.tryLeaseRead(n, sess, op, level, nil); ok {
@@ -503,8 +439,8 @@ func (c *Cluster) InvokeSessionAt(sess core.SessionID, id core.ReplicaID, op spe
 // coverage query, useful for choosing a failover target. A crashed replica
 // covers nothing.
 func (c *Cluster) SessionCovered(sess core.SessionID, id core.ReplicaID) (bool, error) {
-	if _, ok := c.sessions[sess]; !ok {
-		return false, fmt.Errorf("cluster: unknown session %d", sess)
+	if err := c.rec.KnownSession(sess); err != nil {
+		return false, err
 	}
 	if int(id) < 0 || int(id) >= c.cfg.N {
 		return false, fmt.Errorf("cluster: no replica %d", id)

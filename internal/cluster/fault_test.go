@@ -162,11 +162,7 @@ func TestCrashWithPendingContinuationAnswersAfterRecovery(t *testing.T) {
 	mustSettle(t, c)
 
 	strong := mustInvoke(t, c, 2, spec.Duplicate(), core.Strong)
-	weakSess, err := c.OpenSession(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weak, err := c.InvokeSession(weakSess, spec.Append("b"), core.Weak)
+	weak, err := c.InvokeSessionAt(c.Recorder().OpenSession(2), 2, spec.Append("b"), core.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}

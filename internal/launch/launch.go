@@ -270,9 +270,16 @@ func (d *Deployment) Restart(i int) error {
 	return nil
 }
 
+// freezeWait bounds how long Freeze waits for the kernel to report the
+// process stopped.
+const freezeWait = 5 * time.Second
+
 // Freeze SIGSTOPs node i: the process stops scheduling but stays alive —
 // TCP connections remain established and peers' writes back up until
-// their write deadlines fire.
+// their write deadlines fire. Signal delivery is asynchronous, so Freeze
+// returns only once the process is observed stopped (state T in /proc): a
+// caller's next RPC can no longer be answered by a node that had not yet
+// acted on the signal.
 func (d *Deployment) Freeze(i int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -284,7 +291,32 @@ func (d *Deployment) Freeze(i int) error {
 		return fmt.Errorf("launch: freeze node %d: %w", i, err)
 	}
 	np.frozen = true
+	deadline := time.Now().Add(freezeWait)
+	for !allStopped(np.cmd.Process.Pid) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("launch: freeze node %d: not stopped %v after SIGSTOP", i, freezeWait)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return nil
+}
+
+// allStopped reports whether every thread of the process is in scheduler
+// state T (stopped): a group stop reaches the threads one by one, and the
+// thread about to answer an RPC need not be the first. The state letter
+// follows the parenthesized command name in /proc/<pid>/task/<tid>/stat; the
+// name may itself contain spaces and parentheses, hence the last ')'. A
+// thread file that cannot be read counts as not stopped.
+func allStopped(pid int) bool {
+	tasks, _ := filepath.Glob("/proc/" + strconv.Itoa(pid) + "/task/*/stat")
+	for _, path := range tasks {
+		data, err := os.ReadFile(path)
+		end := strings.LastIndexByte(string(data), ')')
+		if err != nil || end < 0 || end+2 >= len(data) || data[end+2] != 'T' {
+			return false
+		}
+	}
+	return len(tasks) > 0
 }
 
 // Thaw SIGCONTs a frozen node; it resumes exactly where it stopped.

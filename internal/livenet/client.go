@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,54 +9,15 @@ import (
 	"time"
 
 	"bayou/internal/core"
-	"bayou/internal/history"
 	"bayou/internal/record"
-	"bayou/internal/spec"
 	"bayou/internal/wire"
 )
 
-// This file is the controller half of the multi-process deployment: the
-// process that owns the shared recorder, the session registry, and the
-// fault picture, with every replica reached over one internal/wire
-// connection. It presents the same surface as the in-process Cluster
-// (both satisfy Deployment), so the bayou façade drives either through
-// one code path — the driver-conformance suites run the same scripts
-// against goroutines-and-channels and against replicas that are separate
-// OS processes, and must reach identical outcomes.
-
-// Deployment is the live-substrate surface the façade driver consumes,
-// satisfied by both the in-process Cluster and the multi-process Remote.
-type Deployment interface {
-	Replicas() int
-	Recorder() *record.Recorder
-	OpenSession(replica int) (core.SessionID, error)
-	BindSession(sess core.SessionID, replica int) error
-	SessionReplica(sess core.SessionID) (int, bool)
-	Invoke(sess core.SessionID, op spec.Op, level core.Level) (*record.Call, error)
-	InvokeSessionAt(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error)
-	InvokeAt(replica int, op spec.Op, level core.Level) (*record.Call, error)
-	SessionCovered(sess core.SessionID, replica int, timeout time.Duration) (bool, error)
-	Read(replica int, key string, timeout time.Duration) (spec.Value, error)
-	Committed(replica int, timeout time.Duration) ([]core.Req, error)
-	Stats(timeout time.Duration) (map[core.ReplicaID]core.Stats, error)
-	Compact(timeout time.Duration) (int, error)
-	Checkpoint(timeout time.Duration) (int, error)
-	BaseLen(replica int, timeout time.Duration) (int, error)
-	Crash(replica int) error
-	Recover(replica int) error
-	Crashed(replica int) bool
-	Partition(cells [][]int) error
-	Heal() error
-	Quiesce(timeout time.Duration) error
-	MarkStable()
-	History() (*history.History, error)
-	Stop()
-}
-
-var (
-	_ Deployment = (*Cluster)(nil)
-	_ Deployment = (*Remote)(nil)
-)
+// This file is the socket carrier: every replica is a separate OS process
+// (cmd/bayou-node) reached over one internal/wire connection. It gives the
+// Controller the same five operations the in-process fabric does, so the
+// driver-conformance suites run the same scripts against goroutines and
+// channels and against node processes, and must reach identical outcomes.
 
 // rpcTimeout bounds one controller RPC round-trip when the caller supplied
 // no tighter deadline.
@@ -88,9 +48,8 @@ type pendingRPC struct {
 	ch   chan wire.Envelope
 }
 
-// Remote drives a deployment whose replicas are separate OS processes
-// (cmd/bayou-node), one wire connection per node. Construct with
-// NewRemote against already-listening node processes; always Stop it.
+// sockets is the carrier of a multi-process deployment, one wire connection
+// per node.
 //
 // Node connections are resilient: when a node's stream breaks (the process
 // was SIGKILL'd, or a frame failed its checksum and the connection was torn
@@ -98,12 +57,9 @@ type pendingRPC struct {
 // redials until the node — possibly a restarted process recovering from its
 // data dir — accepts again, then re-sends the current fault view so the
 // fresh process knows the partition picture.
-type Remote struct {
-	n       int
-	lease   bool
-	rec     *record.Recorder
-	started time.Time
+type sockets struct {
 	addrs   []string
+	sink    func(obsEvent) // the controller's observe
 	seq     atomic.Uint64
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -129,84 +85,48 @@ type Remote struct {
 	// cross-process request order the checkers reconstruct.
 	maxTS atomic.Int64
 
-	mu       sync.Mutex
-	sessions map[core.SessionID]int          // guarded by mu
-	nextSess core.SessionID                  // guarded by mu
-	pendRPC  map[uint64]pendingRPC           // guarded by mu
-	pendCall map[core.SessionID]*record.Call // guarded by mu
+	mu      sync.Mutex
+	pendRPC map[uint64]pendingRPC // guarded by mu
 
-	partMu sync.Mutex
-	cells  []int  // guarded by partMu
-	down   []bool // guarded by partMu
+	// view is the last fault view the controller pushed, kept to re-send to
+	// a node whose stream reconnects. The slices are never mutated.
+	viewMu sync.Mutex
+	cells  []int  // guarded by viewMu
+	down   []bool // guarded by viewMu
 }
 
-// RemoteConfig parametrizes the controller side of a multi-process
-// deployment. The per-node knobs (variant, checkpoint cadence, lease) are
-// the node processes' own configuration; the controller only needs to
-// know whether leases are on to mint the lease gate with invocations.
-type RemoteConfig struct {
-	// Addrs lists every node's listen address, indexed by replica id.
-	Addrs []string
-	// LeaderLease must match the node processes' -lease flag: it enables
-	// the recorder's cast tracking that proves the lease-read serve gate.
-	LeaderLease bool
-	// ConnectBudget bounds how long NewRemote waits for each node process
-	// to come up (zero: wire.DefaultConnectBudget).
-	ConnectBudget time.Duration
-}
-
-// NewRemote connects the controller to every node process and starts the
-// event-stream readers. The node processes must already be serving (or
-// come up within the connect budget).
-func NewRemote(cfg RemoteConfig) (*Remote, error) {
-	n := len(cfg.Addrs)
-	if n == 0 {
-		return nil, errors.New("livenet: remote deployment needs at least one node address")
-	}
-	budget := cfg.ConnectBudget
-	if budget == 0 {
-		budget = wire.DefaultConnectBudget
-	}
-	r := &Remote{
-		n:        n,
-		lease:    cfg.LeaderLease,
-		rec:      record.New(),
-		started:  time.Now(),
-		addrs:    append([]string(nil), cfg.Addrs...),
-		sessions: make(map[core.SessionID]int, n),
-		nextSess: core.SessionID(n),
+// dialSockets connects to every node process and starts the event-stream
+// readers; observations flow into sink.
+func dialSockets(addrs []string, sink func(obsEvent)) (*sockets, error) {
+	n := len(addrs)
+	s := &sockets{
+		addrs:     append([]string(nil), addrs...),
+		sink:      sink,
 		pendRPC:   make(map[uint64]pendingRPC),
-		pendCall:  make(map[core.SessionID]*record.Call),
+		evApplied: make([]atomic.Int64, n),
 		cells:     make([]int, n),
 		down:      make([]bool, n),
-		evApplied: make([]atomic.Int64, n),
-	}
-	if cfg.LeaderLease {
-		r.rec.EnableLeaseTracking()
-	}
-	for i := 0; i < n; i++ {
-		r.sessions[core.SessionID(i)] = i
 	}
 	hello := wire.Envelope{Kind: wire.KindHello, From: wire.ControllerID}
 	for i := 0; i < n; i++ {
-		conn, err := wire.Dial(cfg.Addrs[i], hello, budget)
+		conn, err := wire.Dial(addrs[i], hello, wire.DefaultConnectBudget)
 		if err != nil {
-			for _, c := range r.conns {
+			for _, c := range s.conns {
 				c.Close()
 			}
 			return nil, fmt.Errorf("livenet: node %d: %w", i, err)
 		}
 		conn.SetWriteTimeout(ctrlWriteTimeout)
-		r.conns = append(r.conns, conn)
+		s.conns = append(s.conns, conn)
 	}
 	for i := 0; i < n; i++ {
-		r.wg.Add(1)
+		s.wg.Add(1)
 		go func(i int) {
-			defer r.wg.Done()
-			r.readLoop(i)
+			defer s.wg.Done()
+			s.readLoop(i)
 		}(i)
 	}
-	return r, nil
+	return s, nil
 }
 
 // readLoop applies one node's frames in arrival order: observation events
@@ -220,38 +140,38 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 // frame boundary and cannot be resumed) — fails this node's in-flight RPCs
 // and enters the redial loop; the loop survives any number of node
 // restarts and exits only on Stop.
-func (r *Remote) readLoop(node int) {
+func (s *sockets) readLoop(node int) {
 	for {
-		conn := r.conn(node)
-		r.drainConn(node, conn)
-		if r.stopped.Load() {
+		conn := s.conn(node)
+		s.drainConn(node, conn)
+		if s.stopped.Load() {
 			return
 		}
 		conn.Close()
-		r.failPending(node)
+		s.failPending(node)
 		hello := wire.Envelope{Kind: wire.KindHello, From: wire.ControllerID}
 		for {
-			if r.stopped.Load() {
+			if s.stopped.Load() {
 				return
 			}
-			fresh, err := wire.Dial(r.addrs[node], hello, redialBudget)
+			fresh, err := wire.Dial(s.addrs[node], hello, redialBudget)
 			if err != nil {
 				continue
 			}
 			fresh.SetWriteTimeout(ctrlWriteTimeout)
-			if !r.setConn(node, fresh) {
+			if !s.setConn(node, fresh) {
 				return
 			}
 			// A reconnected process (possibly freshly restarted) needs the
 			// current fault picture; its reply drains through this loop.
-			go r.sendFaultView(node)
+			go s.pushView(node, rpcTimeout)
 			break
 		}
 	}
 }
 
 // drainConn applies frames from one connection until it fails.
-func (r *Remote) drainConn(node int, conn *wire.Conn) {
+func (s *sockets) drainConn(node int, conn *wire.Conn) {
 	for {
 		var env wire.Envelope
 		if err := conn.Recv(&env); err != nil {
@@ -264,22 +184,22 @@ func (r *Remote) drainConn(node int, conn *wire.Conn) {
 			// unacked journal, so skip what this controller already
 			// applied — replaying a stale completion against a session's
 			// NEW pending call would complete it with the old call's dot.
-			applied := r.evApplied[node].Load()
+			applied := s.evApplied[node].Load()
 			first := env.EvSeq - int64(len(env.Events)) + 1
 			for i, ev := range env.Events {
 				if first+int64(i) <= applied {
 					continue
 				}
-				r.applyEvent(ev)
+				s.applyEvent(ev)
 			}
 			if env.EvSeq > applied {
-				r.evApplied[node].Store(env.EvSeq)
+				s.evApplied[node].Store(env.EvSeq)
 			}
 		case wire.KindReply:
-			r.mu.Lock()
-			pend, ok := r.pendRPC[env.Seq]
-			delete(r.pendRPC, env.Seq)
-			r.mu.Unlock()
+			s.mu.Lock()
+			pend, ok := s.pendRPC[env.Seq]
+			delete(s.pendRPC, env.Seq)
+			s.mu.Unlock()
 			if ok {
 				pend.ch <- env
 			}
@@ -289,14 +209,14 @@ func (r *Remote) drainConn(node int, conn *wire.Conn) {
 
 // failPending resolves every RPC in flight to one node with an error: its
 // stream is gone, so no reply is coming.
-func (r *Remote) failPending(node int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for seq, pend := range r.pendRPC {
+func (s *sockets) failPending(node int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for seq, pend := range s.pendRPC {
 		if pend.node != node {
 			continue
 		}
-		delete(r.pendRPC, seq)
+		delete(s.pendRPC, seq)
 		select {
 		case pend.ch <- wire.Envelope{Kind: wire.KindReply, Seq: seq, Err: fmt.Sprintf("livenet: node %d %s", node, streamLostMark)}:
 		default:
@@ -305,44 +225,60 @@ func (r *Remote) failPending(node int) {
 }
 
 // conn returns the node's current connection.
-func (r *Remote) conn(node int) *wire.Conn {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	return r.conns[node]
+func (s *sockets) conn(node int) *wire.Conn {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	return s.conns[node]
 }
 
 // setConn installs a fresh connection for a node. It refuses (closing the
 // connection) once the controller has stopped, so a redial racing Stop
 // cannot install a stream nobody will ever close.
-func (r *Remote) setConn(node int, c *wire.Conn) bool {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	if r.stopped.Load() {
+func (s *sockets) setConn(node int, c *wire.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.stopped.Load() {
 		c.Close()
 		return false
 	}
-	r.conns[node] = c
+	s.conns[node] = c
 	return true
 }
 
-// sendFaultView pushes the controller's current fault picture to one node.
-func (r *Remote) sendFaultView(node int) {
-	r.partMu.Lock()
-	env := wire.Envelope{Kind: wire.KindFaultView, Cells: append([]int(nil), r.cells...), Down: append([]bool(nil), r.down...)}
-	r.partMu.Unlock()
-	if _, err := r.rpcT(node, &env, rpcTimeout); err != nil && !r.stopped.Load() {
-		// Best effort: the node may have died again; the next reconnect
-		// repeats the push.
-		_ = err
+// pushView sends the last fault view to one node, best effort: a node that
+// is unreachable — SIGKILLed, frozen, mid-redial — gets the then-current
+// view again when its stream reconnects (see readLoop), so a dead process
+// cannot fail a partition of the live ones.
+func (s *sockets) pushView(node int, timeout time.Duration) {
+	s.viewMu.Lock()
+	env := wire.Envelope{Kind: wire.KindFaultView, Cells: s.cells, Down: s.down}
+	s.viewMu.Unlock()
+	_, _ = s.rpcT(node, &env, timeout) // re-pushed on reconnect
+}
+
+// faultView implements carrier: the view ships to every node (crashed ones
+// too: they need it current when they recover), and the nodes release the
+// traffic it reconnects.
+func (s *sockets) faultView(cells []int, down []bool) {
+	s.viewMu.Lock()
+	s.cells, s.down = cells, down
+	s.viewMu.Unlock()
+	for i := range s.addrs {
+		s.pushView(i, faultViewTimeout)
 	}
 }
 
-// applyEvent lands one remote observation on the recorder. The node ships
-// events call-blind (the pending call lives here); sessions are sequential
-// so the session id identifies the one pending call, and completion or
-// cancellation retires it.
-func (r *Remote) applyEvent(ev wire.Event) {
-	oe := obsEvent{
+// applyEvent hands one remote observation to the controller. The node ships
+// events call-blind (the pending call lives on the controller's recorder,
+// which resolves it by session).
+func (s *sockets) applyEvent(ev wire.Event) {
+	for {
+		cur := s.maxTS.Load()
+		if ev.TS <= cur || s.maxTS.CompareAndSwap(cur, ev.TS) {
+			break
+		}
+	}
+	s.sink(obsEvent{
 		kind:  obsKind(ev.EKind),
 		sess:  core.SessionID(ev.Sess),
 		dot:   ev.Dot,
@@ -351,31 +287,7 @@ func (r *Remote) applyEvent(ev wire.Event) {
 		no:    ev.No,
 		resp:  ev.Resp,
 		trans: ev.Trans,
-	}
-	for {
-		cur := r.maxTS.Load()
-		if oe.ts <= cur || r.maxTS.CompareAndSwap(cur, oe.ts) {
-			break
-		}
-	}
-	switch oe.kind {
-	case obsComplete, obsCancel:
-		r.mu.Lock()
-		oe.call = r.pendCall[oe.sess]
-		delete(r.pendCall, oe.sess)
-		r.mu.Unlock()
-		if oe.call == nil {
-			return // duplicate or raced with a local cancel
-		}
-	}
-	applyObs(r.rec, oe, r.wall())
-}
-
-func (r *Remote) wall() int64 { return time.Since(r.started).Microseconds() }
-
-// rpc runs one round-trip against a node under the default deadline.
-func (r *Remote) rpc(node int, env *wire.Envelope) (wire.Envelope, error) {
-	return r.rpcT(node, env, rpcTimeout)
+	})
 }
 
 // rpcT runs one round-trip against a node, bounded by the caller's
@@ -385,8 +297,8 @@ func (r *Remote) rpc(node int, env *wire.Envelope) (wire.Envelope, error) {
 // this process is always safe to retry on the redialed stream, and a
 // request that did leave retries only when re-asking is harmless — Invoke
 // plants an operation, every other kind is a read-only probe.
-func (r *Remote) rpcT(node int, env *wire.Envelope, timeout time.Duration) (wire.Envelope, error) {
-	if r.stopped.Load() {
+func (s *sockets) rpcT(node int, env *wire.Envelope, timeout time.Duration) (wire.Envelope, error) {
+	if s.stopped.Load() {
 		return wire.Envelope{}, ErrStopped
 	}
 	if timeout <= 0 {
@@ -395,11 +307,11 @@ func (r *Remote) rpcT(node int, env *wire.Envelope, timeout time.Duration) (wire
 	deadline := time.Now().Add(timeout)
 	idempotent := env.Kind != wire.KindInvoke
 	for {
-		reply, sent, err := r.rpcOnce(node, env, deadline)
+		reply, sent, err := s.rpcOnce(node, env, deadline)
 		if err == nil {
 			return reply, nil
 		}
-		if r.stopped.Load() || time.Now().After(deadline) {
+		if s.stopped.Load() || time.Now().After(deadline) {
 			return reply, err
 		}
 		if !sent || (idempotent && strings.Contains(err.Error(), streamLostMark)) {
@@ -413,22 +325,22 @@ func (r *Remote) rpcT(node int, env *wire.Envelope, timeout time.Duration) (wire
 // rpcOnce is a single attempt: stamp a fresh sequence number, send, wait.
 // sent reports whether the request left this process — a false return can
 // never have reached the node.
-func (r *Remote) rpcOnce(node int, env *wire.Envelope, deadline time.Time) (_ wire.Envelope, sent bool, _ error) {
-	env.Seq = r.seq.Add(1)
-	env.Clock = r.maxTS.Load()
-	env.AckEv = r.evApplied[node].Load()
+func (s *sockets) rpcOnce(node int, env *wire.Envelope, deadline time.Time) (_ wire.Envelope, sent bool, _ error) {
+	env.Seq = s.seq.Add(1)
+	env.Clock = s.maxTS.Load()
+	env.AckEv = s.evApplied[node].Load()
 	ch := make(chan wire.Envelope, 1)
-	r.mu.Lock()
-	r.pendRPC[env.Seq] = pendingRPC{node: node, ch: ch}
-	r.mu.Unlock()
-	conn := r.conn(node)
+	s.mu.Lock()
+	s.pendRPC[env.Seq] = pendingRPC{node: node, ch: ch}
+	s.mu.Unlock()
+	conn := s.conn(node)
 	if err := conn.Send(env); err != nil {
 		// A failed send may have left a partial frame on the stream; close
 		// so the read loop tears down and redials rather than desyncing.
 		conn.Close()
-		r.mu.Lock()
-		delete(r.pendRPC, env.Seq)
-		r.mu.Unlock()
+		s.mu.Lock()
+		delete(s.pendRPC, env.Seq)
+		s.mu.Unlock()
 		return wire.Envelope{}, false, fmt.Errorf("livenet: rpc to node %d: %w", node, err)
 	}
 	timer := time.NewTimer(time.Until(deadline))
@@ -440,30 +352,11 @@ func (r *Remote) rpcOnce(node int, env *wire.Envelope, deadline time.Time) (_ wi
 		}
 		return reply, true, nil
 	case <-timer.C:
-		r.mu.Lock()
-		delete(r.pendRPC, env.Seq)
-		r.mu.Unlock()
+		s.mu.Lock()
+		delete(s.pendRPC, env.Seq)
+		s.mu.Unlock()
 		return wire.Envelope{}, true, fmt.Errorf("livenet: rpc to node %d: %w", node, ErrTimeout)
 	}
-}
-
-// Durability asks one node process how it came up: whether boot restored a
-// local snapshot (and which generation), how many saves it has made since,
-// and how many peer state transfers it accepted — the counters that verify
-// a restarted node recovered from its own disk rather than by the grace of
-// its peers.
-func (r *Remote) Durability(replica int, timeout time.Duration) (wire.Durability, error) {
-	if replica < 0 || replica >= r.n {
-		return wire.Durability{}, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	reply, err := r.rpcT(replica, &wire.Envelope{Kind: wire.KindDurability}, timeout)
-	if err != nil {
-		return wire.Durability{}, err
-	}
-	if reply.Durab == nil {
-		return wire.Durability{}, errors.New("livenet: node sent no durability report")
-	}
-	return *reply.Durab, nil
 }
 
 // remoteError rehydrates the sentinel errors the façade and the tests
@@ -477,406 +370,100 @@ func remoteError(s string) error {
 	return errors.New(s)
 }
 
-// Replicas returns the deployment size.
-func (r *Remote) Replicas() int { return r.n }
-
-// Recorder exposes the controller-owned observation layer.
-func (r *Remote) Recorder() *record.Recorder { return r.rec }
-
-// OpenSession mints a fresh sequential session bound to the given replica.
-func (r *Remote) OpenSession(replica int) (core.SessionID, error) {
-	if r.stopped.Load() {
-		return 0, ErrStopped
+// submit implements carrier. An invocation mirrors the in-process client
+// exactly: the session's frozen demand vectors and lease gate travel inside
+// the envelope, and the node's completion or cancellation event is applied
+// (readLoop) before the RPC reply resolves.
+func (s *sockets) submit(replica int, m message) error {
+	env := wire.Envelope{Kind: wire.KindCrash}
+	switch m.kind {
+	case msgRecover:
+		env.Kind = wire.KindRecover
+	case msgInvoke:
+		env = wire.Envelope{
+			Kind:     wire.KindInvoke,
+			Sess:     int64(m.sess),
+			Op:       m.op,
+			Strong:   m.strong,
+			Gated:    m.gated,
+			FailFast: m.failFast,
+			Read:     m.read,
+			Write:    m.write,
+			Fence:    m.fence,
+			CastOK:   m.castOK,
+			CastCeil: m.castCeil,
+		}
 	}
-	if replica < 0 || replica >= r.n {
-		return 0, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.nextSess
-	r.nextSess++
-	r.sessions[s] = replica
-	return s, nil
+	_, err := s.rpcT(replica, &env, rpcTimeout)
+	return err
 }
 
-// SessionReplica returns the replica a session is bound to.
-func (r *Remote) SessionReplica(s core.SessionID) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.sessions[s]
-	return id, ok
+// queryKinds maps each query onto its RPC envelope kind.
+var queryKinds = [...]wire.Kind{
+	qRead:       wire.KindRead,
+	qCommitted:  wire.KindCommitted,
+	qStats:      wire.KindStats,
+	qCompact:    wire.KindCompact,
+	qCheckpoint: wire.KindCheckpoint,
+	qBaseLen:    wire.KindBaseLen,
+	qProbe:      wire.KindProbe,
+	qCovered:    wire.KindCovered,
+	qDurability: wire.KindDurability,
 }
 
-// BindSession re-binds a session to another replica (see Cluster.BindSession).
-func (r *Remote) BindSession(sess core.SessionID, replica int) error {
-	if r.stopped.Load() {
-		return ErrStopped
+// queryFor is the inverse of queryKinds (0: not a query envelope).
+func queryFor(k wire.Kind) queryKind {
+	for qk, kind := range queryKinds {
+		if kind == k {
+			return queryKind(qk)
+		}
 	}
-	if replica < 0 || replica >= r.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.sessions[sess]; !ok {
-		return fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	if r.rec.SessionBusy(sess) {
-		return fmt.Errorf("%w: session %d cannot re-bind", record.ErrSessionBusy, sess)
-	}
-	r.sessions[sess] = replica
-	return nil
+	return 0
 }
 
-// Invoke submits on the session's bound replica (see Cluster.Invoke).
-func (r *Remote) Invoke(sess core.SessionID, op spec.Op, level core.Level) (*record.Call, error) {
-	if r.stopped.Load() {
-		return nil, ErrStopped
-	}
-	r.mu.Lock()
-	replica, ok := r.sessions[sess]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	return r.invokeAt(sess, replica, op, level)
-}
-
-// InvokeSessionAt submits on an explicit target replica.
-func (r *Remote) InvokeSessionAt(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	if r.stopped.Load() {
-		return nil, ErrStopped
-	}
-	if replica < 0 || replica >= r.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	r.mu.Lock()
-	_, ok := r.sessions[sess]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	return r.invokeAt(sess, replica, op, level)
-}
-
-// InvokeAt submits on the replica's default session.
-func (r *Remote) InvokeAt(replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	if replica < 0 || replica >= r.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	return r.Invoke(core.SessionID(replica), op, level)
-}
-
-// invokeAt mirrors the in-process client exactly: the pending call is
-// minted here (atomically marking the session busy), the session's frozen
-// demand vectors and lease gate travel inside the envelope, and the node's
-// completion/cancellation event retires the pending entry before the RPC
-// reply resolves.
-func (r *Remote) invokeAt(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	g, mode := r.rec.Guarantees(sess)
-	call, err := r.rec.PendingInvoke(sess, op, level, r.wall())
+// query implements carrier: one RPC round-trip; the node process runs
+// node.answer on its node goroutine (remoteNode.serveQuery).
+func (s *sockets) query(replica int, q query, timeout time.Duration) (answer, error) {
+	env := wire.Envelope{Kind: queryKinds[q.kind], Key: q.key, Read: q.read, Write: q.write}
+	reply, err := s.rpcT(replica, &env, timeout)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
-	env := wire.Envelope{
-		Kind:   wire.KindInvoke,
-		Sess:   int64(sess),
-		Op:     op,
-		Strong: level == core.Strong,
-	}
-	if g != 0 {
-		env.Gated = true
-		env.FailFast = mode == core.FailFast
-		env.Read, env.Write, env.Fence = r.rec.FreezeDemands(call, !op.ReadOnly())
-	}
-	if r.lease && level == core.Strong && op.ReadOnly() {
-		env.CastCeil, env.CastOK = r.rec.SessionCastCeiling(sess)
-	}
-	r.mu.Lock()
-	r.pendCall[sess] = call
-	r.mu.Unlock()
-	if _, err := r.rpc(replica, &env); err != nil {
-		// The node's cancel event may have raced us; local cancel is a
-		// no-op if the call completed, and the pending entry must go
-		// either way.
-		r.mu.Lock()
-		if r.pendCall[sess] == call {
-			delete(r.pendCall, sess)
-		}
-		r.mu.Unlock()
-		r.rec.CancelInvoke(call)
-		return nil, err
-	}
-	return call, nil
+	return answer{
+		value: reply.Value,
+		reqs:  reply.Reqs,
+		stats: reply.Stats,
+		n:     int(reply.Int),
+		flag:  reply.Bool,
+		durab: reply.Durab,
+	}, nil
 }
 
-// SessionCovered asks whether the replica's state dominates the session's
-// full coverage demand (see Cluster.SessionCovered).
-func (r *Remote) SessionCovered(sess core.SessionID, replica int, timeout time.Duration) (bool, error) {
-	r.mu.Lock()
-	_, ok := r.sessions[sess]
-	r.mu.Unlock()
-	if !ok {
-		return false, fmt.Errorf("livenet: unknown session %d", sess)
+// progress implements carrier. The node-side progress signal does not cross
+// the wire, so this is the polled variant of the in-process event-driven
+// wait: a backoff doubling from 1 ms to 50 ms, paced on top of the probes'
+// real network round-trips.
+func (s *sockets) progress(round int) <-chan struct{} {
+	wait := 50 * time.Millisecond
+	if round < 6 {
+		wait = time.Millisecond << round
 	}
-	if r.Crashed(replica) {
-		return false, nil
-	}
-	read, write, _ := r.rec.Demands(sess, true)
-	reply, err := r.rpcT(replica, &wire.Envelope{Kind: wire.KindCovered, Read: read, Write: write}, timeout)
-	if err != nil {
-		return false, err
-	}
-	return reply.Bool, nil
+	ch := make(chan struct{})
+	time.AfterFunc(wait, func() { close(ch) })
+	return ch
 }
 
-// Read fetches a register value from one replica process.
-func (r *Remote) Read(replica int, key string, timeout time.Duration) (spec.Value, error) {
-	if replica < 0 || replica >= r.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
+// stop implements carrier: it shuts the node processes down (best effort)
+// and closes the connections. The process launcher owns the OS processes;
+// after stop they exit on their own.
+func (s *sockets) stop() {
+	s.stopped.Store(true)
+	s.connMu.Lock()
+	for _, conn := range s.conns {
+		env := wire.Envelope{Kind: wire.KindShutdown, Seq: s.seq.Add(1)}
+		_ = conn.Send(&env) // best effort; the reply may race the close below
+		conn.Close()
 	}
-	reply, err := r.rpcT(replica, &wire.Envelope{Kind: wire.KindRead, Key: key}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Value, nil
-}
-
-// Committed returns a snapshot of the replica's committed order.
-func (r *Remote) Committed(replica int, timeout time.Duration) ([]core.Req, error) {
-	if replica < 0 || replica >= r.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	reply, err := r.rpcT(replica, &wire.Envelope{Kind: wire.KindCommitted}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Reqs, nil
-}
-
-// Stats aggregates replica cost counters.
-func (r *Remote) Stats(timeout time.Duration) (map[core.ReplicaID]core.Stats, error) {
-	out := make(map[core.ReplicaID]core.Stats, r.n)
-	for i := 0; i < r.n; i++ {
-		reply, err := r.rpcT(i, &wire.Envelope{Kind: wire.KindStats}, timeout)
-		if err != nil {
-			return nil, err
-		}
-		out[core.ReplicaID(i)] = reply.Stats
-	}
-	return out, nil
-}
-
-// Compact runs log compaction on every replica.
-func (r *Remote) Compact(timeout time.Duration) (int, error) {
-	total := 0
-	for i := 0; i < r.n; i++ {
-		reply, err := r.rpcT(i, &wire.Envelope{Kind: wire.KindCompact}, timeout)
-		if err != nil {
-			return total, err
-		}
-		total += int(reply.Int)
-	}
-	return total, nil
-}
-
-// Checkpoint checkpoints every live replica (crashed ones are skipped).
-func (r *Remote) Checkpoint(timeout time.Duration) (int, error) {
-	total := 0
-	for i := 0; i < r.n; i++ {
-		if r.Crashed(i) {
-			continue
-		}
-		reply, err := r.rpcT(i, &wire.Envelope{Kind: wire.KindCheckpoint}, timeout)
-		if err != nil {
-			return total, err
-		}
-		total += int(reply.Int)
-	}
-	return total, nil
-}
-
-// BaseLen reports a replica's checkpointed-prefix length.
-func (r *Remote) BaseLen(replica int, timeout time.Duration) (int, error) {
-	reply, err := r.rpcT(replica, &wire.Envelope{Kind: wire.KindBaseLen}, timeout)
-	if err != nil {
-		return 0, err
-	}
-	return int(reply.Int), nil
-}
-
-// Crash crashes a replica process's automaton (the OS process stays up,
-// discarding protocol traffic — the state loss is what a crash means
-// here, exactly as in-process). The sequencer cannot crash.
-func (r *Remote) Crash(replica int) error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	if replica < 0 || replica >= r.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	if replica == 0 {
-		return errors.New("livenet: cannot crash the sequencer (replica 0)")
-	}
-	if _, err := r.rpc(replica, &wire.Envelope{Kind: wire.KindCrash}); err != nil {
-		return err
-	}
-	r.partMu.Lock()
-	r.down[replica] = true
-	r.partMu.Unlock()
-	return r.broadcastFaultView()
-}
-
-// Recover restores a crashed replica; the node resyncs off its peers once
-// the RPC lands, and the fresh fault view releases traffic parked toward
-// it on partition boundaries.
-func (r *Remote) Recover(replica int) error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	if replica < 0 || replica >= r.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	if _, err := r.rpc(replica, &wire.Envelope{Kind: wire.KindRecover}); err != nil {
-		return err
-	}
-	r.partMu.Lock()
-	r.down[replica] = false
-	r.partMu.Unlock()
-	return r.broadcastFaultView()
-}
-
-// Crashed reports the controller's picture of a replica's fault state.
-func (r *Remote) Crashed(replica int) bool {
-	if replica < 0 || replica >= r.n {
-		return false
-	}
-	r.partMu.Lock()
-	defer r.partMu.Unlock()
-	return r.down[replica]
-}
-
-// Partition splits the deployment into cells (see Cluster.Partition).
-func (r *Remote) Partition(cells [][]int) error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	fresh := make([]int, r.n)
-	for i := range fresh {
-		fresh[i] = len(cells)
-	}
-	for i, cell := range cells {
-		for _, id := range cell {
-			if id < 0 || id >= r.n {
-				return fmt.Errorf("livenet: no replica %d", id)
-			}
-			fresh[id] = i
-		}
-	}
-	r.partMu.Lock()
-	copy(r.cells, fresh)
-	r.partMu.Unlock()
-	return r.broadcastFaultView()
-}
-
-// Heal removes all partitions; the nodes release their parked traffic.
-func (r *Remote) Heal() error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	r.partMu.Lock()
-	for i := range r.cells {
-		r.cells[i] = 0
-	}
-	r.partMu.Unlock()
-	return r.broadcastFaultView()
-}
-
-// broadcastFaultView ships the current cells+down picture to every node
-// (crashed nodes too: they need the view current when they recover). The
-// push is best-effort per node: a node that is unreachable — SIGKILLed,
-// frozen, mid-redial — gets the then-current view again when its stream
-// reconnects (see readLoop), so a dead process cannot fail a partition of
-// the live ones.
-func (r *Remote) broadcastFaultView() error {
-	r.partMu.Lock()
-	cells := append([]int(nil), r.cells...)
-	down := append([]bool(nil), r.down...)
-	r.partMu.Unlock()
-	for i := 0; i < r.n; i++ {
-		env := wire.Envelope{Kind: wire.KindFaultView, Cells: cells, Down: down}
-		if _, err := r.rpcT(i, &env, faultViewTimeout); err != nil && !r.stopped.Load() {
-			_ = err // re-pushed on reconnect
-		}
-	}
-	return nil
-}
-
-// Quiesce blocks until the deployment has settled (see Cluster.Quiesce).
-// Convergence probes are RPC round-trips; between unsettled probes the
-// controller backs off briefly — the node-side progress signal does not
-// cross the wire, so this is the polled variant of the in-process
-// event-driven wait, paced by real network round-trips.
-func (r *Remote) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	for _, call := range r.rec.Calls() {
-		if rep, ok := r.SessionReplica(call.Session()); ok && r.Crashed(rep) {
-			continue
-		}
-		if err := call.WaitTerminal(ctx); err != nil {
-			return fmt.Errorf("livenet: quiesce: call %s not terminal: %w", call.Dot(), err)
-		}
-	}
-	expected := int64(r.rec.TOBCastCount())
-	wait := time.Millisecond
-	for {
-		converged := true
-		for i := 0; i < r.n; i++ {
-			if r.Crashed(i) {
-				continue
-			}
-			reply, err := r.rpc(i, &wire.Envelope{Kind: wire.KindProbe})
-			if err != nil {
-				return fmt.Errorf("livenet: quiesce: %w", err)
-			}
-			if reply.Int < expected || reply.Bool {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("livenet: quiesce: %w", ErrTimeout)
-		}
-		time.Sleep(wait)
-		if wait *= 2; wait > 50*time.Millisecond {
-			wait = 50 * time.Millisecond
-		}
-	}
-}
-
-// MarkStable records the quiescence cutoff for the history checkers.
-func (r *Remote) MarkStable() { r.rec.MarkStable() }
-
-// History assembles the recorded history.
-func (r *Remote) History() (*history.History, error) { return r.rec.History() }
-
-// Stop shuts the node processes down (best effort) and closes the
-// connections. The process launcher owns the OS processes; after Stop
-// they exit on their own.
-func (r *Remote) Stop() {
-	if !r.stopped.CompareAndSwap(false, true) {
-		return
-	}
-	r.connMu.Lock()
-	for i := 0; i < r.n; i++ {
-		env := wire.Envelope{Kind: wire.KindShutdown, Seq: r.seq.Add(1)}
-		_ = r.conns[i].Send(&env) // best effort; the reply may race the close below
-		r.conns[i].Close()
-	}
-	r.connMu.Unlock()
-	r.wg.Wait()
+	s.connMu.Unlock()
+	s.wg.Wait()
 }

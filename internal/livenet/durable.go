@@ -12,7 +12,7 @@ import (
 // This file is the stable storage of a node process (remote.go): what is
 // written on the checkpoint/burst cadence, what a SIGKILL'd process finds
 // on disk at the next boot, and how the boot image is spliced back into a
-// running automaton. The in-process Cluster has no durability — its crash
+// running automaton. The in-process fabric has no durability — its crash
 // model keeps the "durable image" in memory (node.snap) — so everything
 // here lives on the remote substrate only.
 //
@@ -177,8 +177,8 @@ func (r *remoteNode) syncPersist() {
 // loadImage opens the data dir and loads the newest intact generation.
 // ok=false (nothing durable, or dir empty) means clean bootstrap: the node
 // starts fresh and catches up from peers like any late joiner.
-func loadImage(dir string, keep int) (*store.Store, NodeImage, int64, bool, error) {
-	st, err := store.Open(dir, keep)
+func loadImage(dir string) (*store.Store, NodeImage, int64, bool, error) {
+	st, err := store.Open(dir, 0) // 0: store.DefaultKeep generations
 	if err != nil {
 		return nil, NodeImage{}, 0, false, err
 	}

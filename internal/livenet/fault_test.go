@@ -12,11 +12,9 @@ import (
 // keeps the rest of the deployment working, recovers it, and demands full
 // convergence through the resync handshake (peer retransmission + sequencer
 // commit-log replay).
-func TestCrashRecoverCatchesUpLive(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
+func scriptCrashRecoverCatchesUp(t *testing.T, c *Controller) {
 
-	if _, err := c.InvokeAt(2, spec.Append("pre"), core.Weak); err != nil {
+	if _, err := invokeAt(c, 2, spec.Append("pre"), core.Weak); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Quiesce(waitFor); err != nil {
@@ -29,7 +27,7 @@ func TestCrashRecoverCatchesUpLive(t *testing.T) {
 	if err := c.Crash(2); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("double crash: err = %v, want ErrReplicaDown", err)
 	}
-	if _, err := c.InvokeAt(2, spec.Append("x"), core.Weak); !errors.Is(err, ErrReplicaDown) {
+	if _, err := invokeAt(c, 2, spec.Append("x"), core.Weak); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("invoke on crashed replica: err = %v, want ErrReplicaDown", err)
 	}
 	if err := c.Crash(0); err == nil {
@@ -37,13 +35,13 @@ func TestCrashRecoverCatchesUpLive(t *testing.T) {
 	}
 
 	// The deployment keeps going without replica 2.
-	if _, err := c.InvokeAt(0, spec.Append("while-down"), core.Weak); err != nil {
+	if _, err := invokeAt(c, 0, spec.Append("while-down"), core.Weak); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.InvokeAt(1, spec.Inc("ctr", 7), core.Weak); err != nil {
+	if _, err := invokeAt(c, 1, spec.Inc("ctr", 7), core.Weak); err != nil {
 		t.Fatal(err)
 	}
-	strong, err := c.InvokeAt(0, spec.Duplicate(), core.Strong)
+	strong, err := invokeAt(c, 0, spec.Duplicate(), core.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestCrashRecoverCatchesUpLive(t *testing.T) {
 		t.Errorf("recovered ctr = %v (err %v), want 7", v, err)
 	}
 	// And it serves clients again.
-	if _, err := c.InvokeAt(2, spec.Append("post"), core.Weak); err != nil {
+	if _, err := invokeAt(c, 2, spec.Append("post"), core.Weak); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Quiesce(waitFor); err != nil {
@@ -91,21 +89,19 @@ func TestCrashRecoverCatchesUpLive(t *testing.T) {
 // TestPartitionHealLive parks cross-cell traffic and releases it on heal:
 // weak operations stay available inside the minority cell, strong
 // operations from it stall until the partition heals.
-func TestPartitionHealLive(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
+func scriptPartitionHeal(t *testing.T, c *Controller) {
 
-	if err := c.Partition([][]int{{0, 1}, {2}}); err != nil {
+	if err := c.Partition([]int{0, 1}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	weak, err := c.InvokeAt(2, spec.Append("minority"), core.Weak)
+	weak, err := invokeAt(c, 2, spec.Append("minority"), core.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !weak.Done() {
 		t.Fatal("weak ops must stay available inside a minority cell")
 	}
-	strong, err := c.InvokeAt(2, spec.PutIfAbsent("k", "v"), core.Strong)
+	strong, err := invokeAt(c, 2, spec.PutIfAbsent("k", "v"), core.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +145,14 @@ func TestPartitionHealLive(t *testing.T) {
 // crash–recover of its target (the link keeps retransmitting) and is
 // delivered once both the partition and the crash are gone — while traffic
 // sent on an open link to a crashed replica is dropped for good.
-func TestParkedMessagesSurviveCrashLive(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
+func scriptParkedMessagesSurviveCrash(t *testing.T, c *Controller) {
 
 	// Park an update for replica 2, then crash 2 and heal: the parked
 	// message must wait for the recovery, not vanish.
-	if err := c.Partition([][]int{{0, 1}, {2}}); err != nil {
+	if err := c.Partition([]int{0, 1}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.InvokeAt(0, spec.Inc("ctr", 5), core.Weak); err != nil {
+	if _, err := invokeAt(c, 0, spec.Inc("ctr", 5), core.Weak); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Crash(2); err != nil {
@@ -184,17 +178,15 @@ func TestParkedMessagesSurviveCrashLive(t *testing.T) {
 // TestCrashWithPendingContinuationLive: a strong call pending at a crashed
 // replica survives in the durable continuation table and completes after
 // recovery, once the sequencer's commit log replays.
-func TestCrashWithPendingContinuationLive(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
+func scriptCrashWithPendingContinuation(t *testing.T, c *Controller) {
 
 	// Isolate replica 2's commits so the strong call is still pending when
 	// the crash hits (the forward reaches the sequencer, the commit
 	// broadcast parks on the partition).
-	if err := c.Partition([][]int{{0, 1}, {2}}); err != nil {
+	if err := c.Partition([]int{0, 1}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	strong, err := c.InvokeAt(2, spec.Inc("ctr", 3), core.Strong)
+	strong, err := invokeAt(c, 2, spec.Inc("ctr", 3), core.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}

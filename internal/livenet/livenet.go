@@ -8,25 +8,29 @@
 // The package exists to demonstrate that internal/core is a pure state
 // machine with no dependency on the simulation substrate, and to exercise
 // the protocol under true concurrency (`go test -race ./internal/livenet`).
-// It presents the same session-oriented surface as internal/cluster — mint
-// sessions with OpenSession, invoke on them, observe through the shared
-// record.Recorder — so the bayou façade drives either substrate through one
-// Driver interface and the same programs run on both. Simulation remains the
-// tool for the paper's experiments (determinism is what makes the figures
-// reproducible); livenet is the shape a real deployment driver takes.
+// Sessions live on the shared record.Recorder, as on internal/cluster, so
+// the bayou façade drives either substrate through one Driver interface and
+// the same programs run on both. Simulation remains the tool for the
+// paper's experiments (determinism is what makes the figures reproducible);
+// livenet is the shape a real deployment driver takes.
+//
+// There is one controller (controller.go): it owns the recorder, the invoke
+// preamble, the fault view and quiescence, and reaches the replicas through
+// a carrier. The fabric in this file carries in-process — goroutines and
+// channel inboxes; client.go carries over sockets to one OS process per
+// replica.
 //
 // The replica automaton itself (type node) is substrate-blind a second
 // time over: it talks to its surroundings only through the host interface
 // — a peer fabric to send protocol messages into and an observation sink
-// for recorder events. Cluster implements host with channel inboxes and
-// the in-process Recorder; remote.go implements it with TCP links
+// for recorder events. The fabric implements host with channel inboxes and
+// the controller's recorder; remote.go implements it with TCP links
 // (internal/wire envelopes) and an event stream back to the controller
 // process, so the same node code runs in-process and as one OS process per
-// replica (see client.go for the controller side).
+// replica.
 package livenet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,9 +38,9 @@ import (
 	"time"
 
 	"bayou/internal/core"
-	"bayou/internal/history"
 	"bayou/internal/record"
 	"bayou/internal/spec"
+	"bayou/internal/wire"
 )
 
 // ErrStopped is returned for operations on a stopped cluster.
@@ -89,16 +93,9 @@ type message struct {
 	castOK   bool
 	castCeil int64
 	ckpt     *core.CheckpointRecord // msgStateXfer: the transferred image
-	reply    chan invokeReply
+	reply    chan error             // msgInvoke/msgCrash/msgRecover: the node's verdict
 	inspect  func(*node)
 	done     chan struct{}
-}
-
-// invokeReply carries the processed invocation's call handle back to the
-// submitting client.
-type invokeReply struct {
-	call *record.Call
-	err  error
 }
 
 // obsKind tags one observation event a node emits toward the recorder.
@@ -132,10 +129,10 @@ type obsEvent struct {
 }
 
 // host is the node's view of its surroundings: the peer fabric protocol
-// traffic flows into, the observation sink recorder events flow into, and
-// the driver wall clock. Cluster implements it with channels and the shared
-// in-process recorder; remoteHost (remote.go) implements it with TCP links
-// and an event stream to the controller.
+// traffic flows into and the observation sink recorder events flow into.
+// fabric implements it with channels and the controller's recorder in the
+// same process; remoteNode (remote.go) implements it with TCP links and an
+// event stream to the controller process.
 type host interface {
 	// sendPeer delivers a protocol message to another replica (parking it
 	// on partitions, dropping or parking it toward crashed targets — the
@@ -150,13 +147,13 @@ type host interface {
 	endBurst()
 }
 
-// Config parametrizes a live cluster.
+// Config parametrizes an in-process live deployment.
 type Config struct {
 	N       int
 	Variant core.Variant
 	// CheckpointEvery makes every replica checkpoint once it has that many
 	// committed entries past its last checkpoint (0 disables automatic
-	// checkpointing; Cluster.Checkpoint triggers one manually either way).
+	// checkpointing; Controller.Checkpoint triggers one manually either way).
 	// The sequencer additionally truncates its commit log below its own
 	// checkpoint and serves older learners by state transfer.
 	CheckpointEvery int
@@ -173,23 +170,15 @@ type Config struct {
 	LeaderLease bool
 }
 
-// Cluster is a goroutine-per-replica deployment. Construct with New; always
-// Stop it (defer c.Stop()).
-type Cluster struct {
-	n         int
-	variant   core.Variant
-	ckptEvery int
-	lease     bool
-	nodes     []*node
-	clock     atomic.Int64
-	wg        sync.WaitGroup
-	stopped   atomic.Bool
-	rec       *record.Recorder
-	started   time.Time
-
-	mu       sync.Mutex
-	sessions map[core.SessionID]int // guarded by mu
-	nextSess core.SessionID         // guarded by mu
+// fabric is the in-process carrier: one goroutine per replica with channel
+// inboxes as links. It is the host of its nodes — peer sends with partition
+// parking, the observation sink, the progress epoch — and the carrier the
+// Controller drives them through.
+type fabric struct {
+	nodes []*node
+	clock atomic.Int64
+	wg    sync.WaitGroup
+	sink  func(obsEvent) // the controller's observe
 
 	// progress is the quiescence signal: each node burst closes and
 	// replaces the current channel, so Quiesce can wait for state to move
@@ -197,11 +186,11 @@ type Cluster struct {
 	progMu sync.Mutex
 	progCh chan struct{} // guarded by progMu
 
-	// Fault plane: partition cells (all equal when healed) and the
-	// messages parked on partition boundaries. The partition model
-	// matches simnet's: cross-cell traffic is held and released on Heal
-	// (reliable links retransmit); traffic to a crashed replica is
-	// dropped for good.
+	// Partition cells (all equal when healed) and the messages parked on
+	// partition boundaries. The partition model matches simnet's:
+	// cross-cell traffic is held and released on Heal (reliable links
+	// retransmit); traffic to a crashed replica is dropped for good. cell
+	// is replaced whole by faultView and never mutated in place.
 	partMu sync.Mutex
 	cell   []int     // guarded by partMu
 	held   []heldMsg // guarded by partMu
@@ -283,51 +272,30 @@ type parkedInvoke struct {
 func (n *node) takeEff() *core.Effects { return n.effPool.Take() }
 func (n *node) putEff(e *core.Effects) { n.effPool.Put(e) }
 
-// New starts a cluster of n replicas running the given protocol variant.
-// Sessions 0..n-1 are pre-opened as one default session per replica;
-// OpenSession mints more.
-func New(n int, variant core.Variant) *Cluster {
-	return NewFromConfig(Config{N: n, Variant: variant})
-}
-
-// NewFromConfig starts a cluster from a full configuration.
-func NewFromConfig(cfg Config) *Cluster {
-	n := cfg.N
-	c := &Cluster{
-		n:         n,
-		variant:   cfg.Variant,
-		ckptEvery: cfg.CheckpointEvery,
-		lease:     cfg.LeaderLease,
-		rec:       record.New(),
-		started:   time.Now(),
-		sessions:  make(map[core.SessionID]int, n),
-		nextSess:  core.SessionID(n),
-		progCh:    make(chan struct{}),
-		cell:      make([]int, n),
+// newFabric starts one replica goroutine per node; observations flow into
+// sink.
+func newFabric(cfg Config, sink func(obsEvent)) *fabric {
+	f := &fabric{
+		sink:   sink,
+		progCh: make(chan struct{}),
+		cell:   make([]int, cfg.N),
 	}
-	if cfg.LeaderLease {
-		c.rec.EnableLeaseTracking()
-	}
-	variant := cfg.Variant
-	for i := 0; i < n; i++ {
-		c.sessions[core.SessionID(i)] = i
-	}
-	for i := 0; i < n; i++ {
-		nd := newNode(core.ReplicaID(i), n, variant, c, func() int64 {
+	for i := 0; i < cfg.N; i++ {
+		nd := newNode(core.ReplicaID(i), cfg.N, cfg.Variant, f, func() int64 {
 			// A shared logical clock keeps timestamps globally unique
 			// and roughly synchronized without wall-clock flakiness.
-			return c.clock.Add(1)
+			return f.clock.Add(1)
 		}, cfg.LeaderLease, cfg.CheckpointEvery)
-		c.nodes = append(c.nodes, nd)
+		f.nodes = append(f.nodes, nd)
 	}
-	for _, nd := range c.nodes {
-		c.wg.Add(1)
+	for _, nd := range f.nodes {
+		f.wg.Add(1)
 		go func(nd *node) {
-			defer c.wg.Done()
+			defer f.wg.Done()
 			nd.run()
 		}(nd)
 	}
-	return c
+	return f
 }
 
 // newNode builds one replica automaton bound to a host.
@@ -350,32 +318,23 @@ func newNode(id core.ReplicaID, n int, variant core.Variant, h host, clock func(
 	return nd
 }
 
-// Stop terminates every replica goroutine and waits for them.
-func (c *Cluster) Stop() {
-	if !c.stopped.CompareAndSwap(false, true) {
-		return
-	}
-	for _, nd := range c.nodes {
+// stop implements carrier: it terminates every replica goroutine and waits
+// for them.
+func (f *fabric) stop() {
+	for _, nd := range f.nodes {
 		close(nd.stop)
 	}
-	c.wg.Wait()
+	f.wg.Wait()
 }
 
-// wall is the driver's wall clock (microseconds since construction).
-func (c *Cluster) wall() int64 { return time.Since(c.started).Microseconds() }
-
-// sendPeer implements host over channel inboxes.
-func (c *Cluster) sendPeer(from, to int, m message) { c.send(from, to, m) }
-
-// observe implements host against the shared in-process recorder. The call
-// pointer is always present in-process (the client minted it).
-func (c *Cluster) observe(ev obsEvent) { applyObs(c.rec, ev, c.wall()) }
+// observe implements host: in-process the call pointer is always present
+// (the client minted it), so the event lands on the recorder as is.
+func (f *fabric) observe(ev obsEvent) { f.sink(ev) }
 
 // applyObs lands one observation event on a recorder, stamped with the
-// applying side's wall clock. Both the in-process host and the remote
-// controller (which receives events over the node's event stream) funnel
-// through it, so the two substrates record identically.
-func applyObs(rec *record.Recorder, ev obsEvent, wall int64) {
+// applying side's wall clock. Both carriers funnel through it (via
+// Controller.observe), so the two deployments record identically.
+func applyObs(rec *record.Recorder, ev *obsEvent, wall int64) {
 	switch ev.kind {
 	case obsComplete:
 		rec.CompleteInvoke(ev.call, ev.dot, ev.ts, ev.tob, wall)
@@ -399,373 +358,114 @@ func applyObs(rec *record.Recorder, ev obsEvent, wall int64) {
 // endBurst implements host: it publishes a progress epoch by closing the
 // current progress channel and installing a fresh one, waking every Quiesce
 // waiter to re-check convergence.
-func (c *Cluster) endBurst() {
-	c.progMu.Lock()
-	ch := c.progCh
-	c.progCh = make(chan struct{})
-	c.progMu.Unlock()
+func (f *fabric) endBurst() {
+	f.progMu.Lock()
+	ch := f.progCh
+	f.progCh = make(chan struct{})
+	f.progMu.Unlock()
 	close(ch)
 }
 
-// progressChan returns the channel the next endBurst will close. Grab it
-// before inspecting state: a signal raced between inspection and wait then
-// still wakes the waiter.
-func (c *Cluster) progressChan() <-chan struct{} {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	return c.progCh
+// progress implements carrier with the channel the next endBurst will
+// close: convergence is event-driven, no polling.
+func (f *fabric) progress(int) <-chan struct{} {
+	f.progMu.Lock()
+	defer f.progMu.Unlock()
+	return f.progCh
 }
 
-// send is the replica-to-replica network: it parks cross-partition traffic
-// until Heal and drops connected traffic toward a crashed replica (the
-// loss the resync handshake repairs). The order matters and matches
-// simnet's pinned semantics: a message parked on a partition models a
-// retransmitting link, so it survives a crash–recover of its target, while
-// a message sent on an open link to a crashed node is gone for good.
-func (c *Cluster) send(from, to int, m message) {
-	c.partMu.Lock()
-	if c.cell[from] != c.cell[to] {
-		c.held = append(c.held, heldMsg{from: from, to: to, m: m})
-		c.partMu.Unlock()
+// sendPeer implements host; it is the replica-to-replica network: it parks
+// cross-partition traffic until Heal and drops connected traffic toward a
+// crashed replica (the loss the resync handshake repairs). The order
+// matters and matches simnet's pinned semantics: a message parked on a
+// partition models a retransmitting link, so it survives a crash–recover of
+// its target, while a message sent on an open link to a crashed node is
+// gone for good.
+func (f *fabric) sendPeer(from, to int, m message) {
+	f.partMu.Lock()
+	if f.cell[from] != f.cell[to] {
+		f.held = append(f.held, heldMsg{from: from, to: to, m: m})
+		f.partMu.Unlock()
 		return
 	}
-	c.partMu.Unlock()
-	if c.nodes[to].crashed.Load() {
+	f.partMu.Unlock()
+	if f.nodes[to].crashed.Load() {
 		return
 	}
 	select {
-	case c.nodes[to].inbox <- m:
-	case <-c.nodes[to].stop:
+	case f.nodes[to].inbox <- m:
+	case <-f.nodes[to].stop:
 	}
 }
 
-// Partition splits the deployment into cells (unlisted replicas form an
-// implicit final cell); replicas in different cells stop exchanging
-// messages until Heal, which releases the parked traffic. Clients stay
-// attached to their replica — sessions on a minority cell keep weak
-// availability while strong operations stall, exactly as on the simulator.
-func (c *Cluster) Partition(cells [][]int) error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	fresh := make([]int, c.n)
-	for i := range fresh {
-		fresh[i] = len(cells)
-	}
-	for i, cell := range cells {
-		for _, id := range cell {
-			if id < 0 || id >= c.n {
-				return fmt.Errorf("livenet: no replica %d", id)
-			}
-			fresh[id] = i
-		}
-	}
-	c.partMu.Lock()
-	c.cell = fresh
-	c.partMu.Unlock()
-	c.releaseHeld()
-	return nil
-}
-
-// Heal removes all partitions and releases parked messages.
-func (c *Cluster) Heal() error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	c.partMu.Lock()
-	for i := range c.cell {
-		c.cell[i] = 0
-	}
-	c.partMu.Unlock()
-	c.releaseHeld()
-	return nil
-}
-
-// releasableLocked extracts the held messages whose endpoints are connected
-// under the current cells and whose target is up — a parked message toward
-// a crashed replica stays parked (the link keeps retransmitting) until
-// Recover releases it. The caller holds partMu.
-func (c *Cluster) releasableLocked() []heldMsg {
+// faultView implements carrier: it adopts the controller's partition cells
+// and re-sends, through the normal path, the held messages whose endpoints
+// the new view connects and whose target is up — a parked message toward a
+// crashed replica stays parked (the link keeps retransmitting) until the
+// view that follows its recovery releases it. The down set is not needed
+// here: each node publishes its own crashed flag, which sendPeer reads.
+func (f *fabric) faultView(cells []int, _ []bool) {
+	f.partMu.Lock()
+	f.cell = cells
 	var released []heldMsg
-	keep := c.held[:0]
-	for _, h := range c.held {
-		if c.cell[h.from] == c.cell[h.to] && !c.nodes[h.to].crashed.Load() {
+	keep := f.held[:0]
+	for _, h := range f.held {
+		if f.cell[h.from] == f.cell[h.to] && !f.nodes[h.to].crashed.Load() {
 			released = append(released, h)
 		} else {
 			keep = append(keep, h)
 		}
 	}
-	c.held = keep
-	return released
-}
-
-// redeliver re-sends released messages through the normal path.
-func (c *Cluster) redeliver(ms []heldMsg) {
-	for _, h := range ms {
-		c.send(h.from, h.to, h.m)
+	f.held = keep
+	f.partMu.Unlock()
+	for _, h := range released {
+		f.sendPeer(h.from, h.to, h.m)
 	}
 }
 
-// releaseHeld re-evaluates the parked messages (after a heal or a
-// recovery) and delivers the releasable ones.
-func (c *Cluster) releaseHeld() {
-	c.partMu.Lock()
-	released := c.releasableLocked()
-	c.partMu.Unlock()
-	c.redeliver(released)
-}
-
-// Crash crashes a replica: its volatile state (tentative list, schedule,
-// stored tentative values) is lost, traffic toward it is dropped, and
-// invocations on its sessions fail until Recover. The durable image —
-// committed log, dot counter, client continuations, sequencer state —
-// survives. The sequencer (replica 0) cannot crash: primary-commit total
-// order does not tolerate it, which is the deficiency the paper's
-// consensus-based TOB removes (use the simulator to script that).
-func (c *Cluster) Crash(replica int) error {
-	if c.stopped.Load() {
+// submit implements carrier: the message goes straight onto the replica's
+// inbox and the node's verdict comes straight back. For an invocation the
+// replica completes the call, parks it on the coverage gate, or cancels
+// it; the verdict is immediate either way, so an invoke never blocks on
+// coverage — a parked call simply stays pending until the replica catches
+// up.
+func (f *fabric) submit(replica int, m message) error {
+	nd := f.nodes[replica]
+	m.reply = make(chan error, 1)
+	select {
+	case nd.inbox <- m:
+	case <-nd.stop:
 		return ErrStopped
 	}
-	if replica < 0 || replica >= c.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	if replica == 0 {
-		return errors.New("livenet: cannot crash the sequencer (replica 0)")
-	}
-	return c.control(replica, msgCrash)
-}
-
-// Recover restarts a crashed replica from its durable snapshot and runs the
-// resync handshake: peers retransmit their tentative suffixes and the
-// sequencer replays the commits the replica slept through.
-func (c *Cluster) Recover(replica int) error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	if replica < 0 || replica >= c.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	if err := c.control(replica, msgRecover); err != nil {
+	select {
+	case err := <-m.reply:
 		return err
-	}
-	// Messages parked for this replica while it was down (partition-held
-	// traffic survives a crash) can flow again.
-	c.releaseHeld()
-	return nil
-}
-
-// Crashed reports whether the replica is currently crashed.
-func (c *Cluster) Crashed(replica int) bool {
-	return replica >= 0 && replica < c.n && c.nodes[replica].crashed.Load()
-}
-
-// control delivers a fault-plane message on the replica goroutine and waits
-// for the outcome.
-func (c *Cluster) control(replica int, kind msgKind) error {
-	reply := make(chan invokeReply, 1)
-	select {
-	case c.nodes[replica].inbox <- message{kind: kind, reply: reply}:
-	case <-c.nodes[replica].stop:
-		return ErrStopped
-	}
-	select {
-	case r := <-reply:
-		return r.err
-	case <-c.nodes[replica].stop:
+	case <-nd.stop:
 		return ErrStopped
 	}
 }
 
-// Replicas returns the deployment size.
-func (c *Cluster) Replicas() int { return c.n }
-
-// Recorder exposes the shared observation layer (history, call lookup,
-// watch subscriptions).
-func (c *Cluster) Recorder() *record.Recorder { return c.rec }
-
-// OpenSession mints a fresh sequential session bound to the given replica.
-func (c *Cluster) OpenSession(replica int) (core.SessionID, error) {
-	if c.stopped.Load() {
-		return 0, ErrStopped
+// query implements carrier: the question is answered on the replica's own
+// goroutine (after it has drained its internal work).
+func (f *fabric) query(replica int, q query, timeout time.Duration) (a answer, err error) {
+	if ierr := f.inspect(replica, timeout, func(n *node) { a, err = n.answer(q) }); ierr != nil {
+		return answer{}, ierr
 	}
-	if replica < 0 || replica >= c.n {
-		return 0, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.nextSess
-	c.nextSess++
-	c.sessions[s] = replica
-	return s, nil
+	return a, err
 }
 
-// SessionReplica returns the replica a session is bound to.
-func (c *Cluster) SessionReplica(s core.SessionID) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.sessions[s]
-	return id, ok
-}
-
-// BindSession re-binds a session to another replica — the mobile-session
-// migration step. The guarantee vectors live on the shared recorder, so
-// they follow the session for free. A session with an outstanding call
-// cannot move: its continuation is owed by the old replica.
-func (c *Cluster) BindSession(sess core.SessionID, replica int) error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	if replica < 0 || replica >= c.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.sessions[sess]; !ok {
-		return fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	if c.rec.SessionBusy(sess) {
-		return fmt.Errorf("%w: session %d cannot re-bind", record.ErrSessionBusy, sess)
-	}
-	c.sessions[sess] = replica
-	return nil
-}
-
-// Invoke submits an operation on the given session at the replica the
-// session is bound to, and returns once the replica has processed the
-// invocation: for Algorithm 2 weak operations the call is already Done
-// (bounded wait-freedom), strong operations resolve in the background (wait
-// with call.WaitDone). Sessions are sequential: a session whose previous
-// call has not returned is rejected with record.ErrSessionBusy.
-func (c *Cluster) Invoke(sess core.SessionID, op spec.Op, level core.Level) (*record.Call, error) {
-	if c.stopped.Load() {
-		return nil, ErrStopped
-	}
-	c.mu.Lock()
-	replica, ok := c.sessions[sess]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	return c.invokeAt(sess, replica, op, level)
-}
-
-// InvokeSessionAt submits an operation on the given session at an explicit
-// target replica, which may differ from the session's binding. Guarantee
-// vectors are enforced at the target exactly as at the binding.
-func (c *Cluster) InvokeSessionAt(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	if c.stopped.Load() {
-		return nil, ErrStopped
-	}
-	if replica < 0 || replica >= c.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	c.mu.Lock()
-	_, ok := c.sessions[sess]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	return c.invokeAt(sess, replica, op, level)
-}
-
-// invokeAt routes one invocation to the target replica's goroutine. The
-// pending call is minted on the caller's side (atomically marking the
-// session busy) and handed to the replica together with everything the
-// node needs from the recorder — frozen demand vectors for gated sessions,
-// the lease-read cast ceiling — so the node itself never touches the
-// recorder. The replica completes the call, parks it on the coverage gate,
-// or cancels it; the reply is immediate either way, so Invoke never blocks
-// on coverage — a parked call simply stays pending until the replica
-// catches up.
-func (c *Cluster) invokeAt(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	g, mode := c.rec.Guarantees(sess)
-	call, err := c.rec.PendingInvoke(sess, op, level, c.wall())
-	if err != nil {
-		return nil, err
-	}
-	m := message{
-		kind:   msgInvoke,
-		sess:   sess,
-		op:     op,
-		strong: level == core.Strong,
-		call:   call,
-		reply:  make(chan invokeReply, 1),
-	}
-	if g != 0 {
-		m.gated = true
-		m.failFast = mode == core.FailFast
-		m.read, m.write, m.fence = c.rec.FreezeDemands(call, !op.ReadOnly())
-	}
-	if c.lease && level == core.Strong && op.ReadOnly() {
-		m.castCeil, m.castOK = c.rec.SessionCastCeiling(sess)
-	}
-	select {
-	case c.nodes[replica].inbox <- m:
-	case <-c.nodes[replica].stop:
-		c.rec.CancelInvoke(call)
-		return nil, ErrStopped
-	}
-	select {
-	case r := <-m.reply:
-		return r.call, r.err
-	case <-c.nodes[replica].stop:
-		// The node stopped with the invoke possibly still queued; withdraw
-		// the pending call so the session is not left busy forever
-		// (CancelInvoke is a no-op if the node did complete it first).
-		c.rec.CancelInvoke(call)
-		return nil, ErrStopped
-	}
-}
-
-// SessionCovered reports whether the replica's current state dominates the
-// session's full coverage demand — the coverage query of the fault-tolerant
-// client choosing a failover target. A crashed replica covers nothing.
-func (c *Cluster) SessionCovered(sess core.SessionID, replica int, timeout time.Duration) (bool, error) {
-	c.mu.Lock()
-	_, ok := c.sessions[sess]
-	c.mu.Unlock()
-	if !ok {
-		return false, fmt.Errorf("livenet: unknown session %d", sess)
-	}
-	if c.Crashed(replica) {
-		return false, nil
-	}
-	read, write, _ := c.rec.Demands(sess, true)
-	covered := false
-	if err := c.inspect(replica, timeout, func(n *node) {
-		covered = n.replica.CoversSession(read, write)
-	}); err != nil {
-		return false, err
-	}
-	return covered, nil
-}
-
-// InvokeAt submits on the replica's default session (session id == replica
-// id) — the one-session-per-replica convenience of the legacy API.
-func (c *Cluster) InvokeAt(replica int, op spec.Op, level core.Level) (*record.Call, error) {
-	if replica < 0 || replica >= c.n {
-		return nil, fmt.Errorf("livenet: no replica %d", replica)
-	}
-	return c.Invoke(core.SessionID(replica), op, level)
-}
-
-// inspect runs fn on the replica's own goroutine (after draining its
-// internal work) and waits for it, bounded by timeout.
-func (c *Cluster) inspect(replica int, timeout time.Duration, fn func(*node)) error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	if replica < 0 || replica >= c.n {
-		return fmt.Errorf("livenet: no replica %d", replica)
-	}
+// inspect runs fn on the replica's own goroutine and waits for it, bounded
+// by timeout.
+func (f *fabric) inspect(replica int, timeout time.Duration, fn func(*node)) error {
+	nd := f.nodes[replica]
 	done := make(chan struct{})
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case c.nodes[replica].inbox <- message{kind: msgInspect, inspect: fn, done: done}:
+	case nd.inbox <- message{kind: msgInspect, inspect: fn, done: done}:
 	case <-timer.C:
 		return ErrTimeout
-	case <-c.nodes[replica].stop:
+	case <-nd.stop:
 		return ErrStopped
 	}
 	select {
@@ -773,154 +473,8 @@ func (c *Cluster) inspect(replica int, timeout time.Duration, fn func(*node)) er
 		return nil
 	case <-timer.C:
 		return ErrTimeout
-	case <-c.nodes[replica].stop:
+	case <-nd.stop:
 		return ErrStopped
-	}
-}
-
-// Read fetches a register value through the replica's own goroutine (safe
-// snapshot of its current state).
-func (c *Cluster) Read(replica int, key string, timeout time.Duration) (spec.Value, error) {
-	var v spec.Value
-	if err := c.inspect(replica, timeout, func(n *node) { v = n.replica.Read(key) }); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// Committed returns a snapshot of the replica's committed order.
-func (c *Cluster) Committed(replica int, timeout time.Duration) ([]core.Req, error) {
-	var reqs []core.Req
-	if err := c.inspect(replica, timeout, func(n *node) { reqs = n.replica.Committed() }); err != nil {
-		return nil, err
-	}
-	return reqs, nil
-}
-
-// Stats aggregates replica cost counters, keyed by replica.
-func (c *Cluster) Stats(timeout time.Duration) (map[core.ReplicaID]core.Stats, error) {
-	out := make(map[core.ReplicaID]core.Stats, c.n)
-	for i := 0; i < c.n; i++ {
-		var st core.Stats
-		if err := c.inspect(i, timeout, func(n *node) { st = n.replica.Stats() }); err != nil {
-			return nil, err
-		}
-		out[core.ReplicaID(i)] = st
-	}
-	return out, nil
-}
-
-// Compact runs Bayou's log compaction on every replica; it returns the
-// number of undo entries released.
-func (c *Cluster) Compact(timeout time.Duration) (int, error) {
-	total := 0
-	for i := 0; i < c.n; i++ {
-		var freed int
-		if err := c.inspect(i, timeout, func(n *node) { freed = n.replica.Compact() }); err != nil {
-			return total, err
-		}
-		total += freed
-	}
-	return total, nil
-}
-
-// Checkpoint checkpoints every live replica at its current stable state (see
-// node.checkpoint); it returns the total number of committed entries
-// truncated. Crashed replicas are skipped.
-func (c *Cluster) Checkpoint(timeout time.Duration) (int, error) {
-	total := 0
-	for i := 0; i < c.n; i++ {
-		if c.Crashed(i) {
-			continue
-		}
-		var truncated int
-		var cerr error
-		if err := c.inspect(i, timeout, func(n *node) { truncated, cerr = n.checkpoint() }); err != nil {
-			return total, err
-		}
-		if cerr != nil {
-			return total, cerr
-		}
-		total += truncated
-	}
-	return total, nil
-}
-
-// BaseLen reports a replica's absolute checkpointed-prefix length.
-func (c *Cluster) BaseLen(replica int, timeout time.Duration) (int, error) {
-	var base int
-	if err := c.inspect(replica, timeout, func(n *node) { base = n.replica.BaseLen() }); err != nil {
-		return 0, err
-	}
-	return base, nil
-}
-
-// MarkStable records the quiescence cutoff for the history checkers.
-func (c *Cluster) MarkStable() { c.rec.MarkStable() }
-
-// History assembles the recorded history.
-func (c *Cluster) History() (*history.History, error) { return c.rec.History() }
-
-// Quiesce blocks until the deployment has settled: every recorded call is
-// terminal (responses delivered, weak updates stabilized) and every replica
-// has applied every commit and drained its internal work. It is the live
-// analogue of the simulator's Settle. Replicas currently crashed are
-// exempt, as are calls bound to them: a crashed replica is not a correct
-// one, and its clients' calls legitimately pend until it recovers.
-//
-// Convergence is event-driven: each node burst publishes a progress epoch
-// (Cluster.endBurst), and Quiesce re-checks only when one fires — no
-// polling loop. The deadline is enforced by a single timer.
-func (c *Cluster) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	for _, call := range c.rec.Calls() {
-		if r, ok := c.SessionReplica(call.Session()); ok && c.Crashed(r) {
-			continue
-		}
-		if err := call.WaitTerminal(ctx); err != nil {
-			return fmt.Errorf("livenet: quiesce: call %s not terminal: %w", call.Dot(), err)
-		}
-	}
-	// All replicas must have applied every commit (one per TOB-cast
-	// invocation) and be passive; the recorder count is the ground truth
-	// for how many commits a settled run contains.
-	expected := c.rec.TOBCastCount()
-	for {
-		// Grab the epoch channel before inspecting: progress made between
-		// the inspection and the wait below still wakes us.
-		ch := c.progressChan()
-		converged := true
-		for i := 0; i < c.n; i++ {
-			if c.Crashed(i) {
-				continue
-			}
-			var committed int
-			var busy bool
-			left := time.Until(deadline)
-			if left <= 0 {
-				return fmt.Errorf("livenet: quiesce: %w", ErrTimeout)
-			}
-			if err := c.inspect(i, left, func(n *node) {
-				committed = n.replica.CommittedLen()
-				busy = n.replica.HasInternalWork()
-			}); err != nil {
-				return fmt.Errorf("livenet: quiesce: %w", err)
-			}
-			if committed < expected || busy {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return fmt.Errorf("livenet: quiesce: %w", ErrTimeout)
-		}
 	}
 }
 
@@ -1092,7 +646,7 @@ func (n *node) recover() {
 }
 
 // antiEntropy is one background repair tick (remote substrate only; the
-// in-process fabric never loses frames, so Cluster never calls it): ask one
+// in-process fabric never loses frames and never calls it): ask one
 // peer, round-robin across ticks, for retransmission from the local commit
 // cursor — the same idempotent handshake recovery uses, re-driven
 // periodically so frames lost to corruption teardowns, write timeouts, or
@@ -1252,6 +806,37 @@ func (n *node) maybeCheckpoint() {
 	}
 }
 
+// answer serves one controller query against the replica. It is the single
+// spelling of the nine inspections: both carriers run it on the node
+// goroutine — the fabric through an inspect closure, a node process when
+// the query arrives as an RPC.
+func (n *node) answer(q query) (answer, error) {
+	switch q.kind {
+	case qRead:
+		return answer{value: n.replica.Read(q.key)}, nil
+	case qCommitted:
+		return answer{reqs: n.replica.Committed()}, nil
+	case qStats:
+		return answer{stats: n.replica.Stats()}, nil
+	case qCompact:
+		return answer{n: n.replica.Compact()}, nil
+	case qCheckpoint:
+		truncated, err := n.checkpoint()
+		return answer{n: truncated}, err
+	case qBaseLen:
+		return answer{n: n.replica.BaseLen()}, nil
+	case qProbe:
+		return answer{n: n.replica.CommittedLen(), flag: n.replica.HasInternalWork()}, nil
+	case qCovered:
+		return answer{flag: n.replica.CoversSession(q.read, q.write)}, nil
+	case qDurability:
+		// The storage half of the scorecard is the hosting process's to
+		// fill in (remoteNode.serveQuery); in-process there is none.
+		return answer{durab: &wire.Durability{Committed: int64(n.replica.CommittedLen())}}, nil
+	}
+	return answer{}, fmt.Errorf("livenet: unknown query kind %d", q.kind)
+}
+
 // process handles one message; RB deliveries are buffered (flushed before
 // any other message kind so per-node delivery order is preserved). A
 // crashed node answers only the fault plane (and inspections, which read
@@ -1263,12 +848,12 @@ func (n *node) process(m message) {
 		switch m.kind {
 		case msgInvoke:
 			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-			m.reply <- invokeReply{err: fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, n.id, m.sess)}
+			m.reply <- fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, n.id, m.sess)
 		case msgCrash:
-			m.reply <- invokeReply{err: fmt.Errorf("%w: %d already crashed", ErrReplicaDown, n.id)}
+			m.reply <- fmt.Errorf("%w: %d already crashed", ErrReplicaDown, n.id)
 		case msgRecover:
 			n.recover()
-			m.reply <- invokeReply{}
+			m.reply <- nil
 		case msgInspect:
 			m.inspect(n)
 			close(m.done)
@@ -1304,20 +889,20 @@ func (n *node) process(m message) {
 			switch {
 			case n.covers(pi):
 				n.complete(pi)
-				m.reply <- invokeReply{call: m.call}
+				m.reply <- nil
 			case m.failFast:
 				n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-				m.reply <- invokeReply{err: fmt.Errorf("%w: session %d at replica %d", record.ErrGuarantee, m.sess, n.id)}
+				m.reply <- fmt.Errorf("%w: session %d at replica %d", record.ErrGuarantee, m.sess, n.id)
 			default:
 				n.parked = append(n.parked, pi)
-				m.reply <- invokeReply{call: m.call}
+				m.reply <- nil
 			}
 			return
 		}
 		// Plain session: the busy mark was taken at the client
 		// (PendingInvoke), so acceptance is unconditional.
 		if n.tryLeaseRead(pi) {
-			m.reply <- invokeReply{call: m.call}
+			m.reply <- nil
 			return
 		}
 		eff := n.takeEff()
@@ -1325,7 +910,7 @@ func (n *node) process(m message) {
 		if err != nil {
 			n.putEff(eff)
 			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-			m.reply <- invokeReply{err: fmt.Errorf("livenet: invoke on %d: %w", n.id, err)}
+			m.reply <- fmt.Errorf("livenet: invoke on %d: %w", n.id, err)
 			return
 		}
 		n.h.observe(obsEvent{
@@ -1334,7 +919,7 @@ func (n *node) process(m message) {
 		})
 		n.route(*eff)
 		n.putEff(eff)
-		m.reply <- invokeReply{call: m.call}
+		m.reply <- nil
 	case msgForward:
 		// Forwards to the sequencer were buffered above; one addressed to
 		// anybody else was misrouted and is dropped.
@@ -1350,9 +935,9 @@ func (n *node) process(m message) {
 		n.snap = n.replica.Snapshot()
 		n.rbBatch = n.rbBatch[:0] // buffered deliveries die with the process
 		n.fwdBatch = n.fwdBatch[:0]
-		m.reply <- invokeReply{}
+		m.reply <- nil
 	case msgRecover:
-		m.reply <- invokeReply{err: fmt.Errorf("livenet: replica %d is not crashed", n.id)}
+		m.reply <- fmt.Errorf("livenet: replica %d is not crashed", n.id)
 	case msgResync:
 		n.answerResync(m)
 	case msgInspect:

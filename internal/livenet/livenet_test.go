@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -29,10 +30,99 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("condition never held: %s", what)
 }
 
-func TestWeakInvokeResolvesImmediately(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
-	call, err := c.InvokeAt(1, spec.Append("hello"), core.Weak)
+// script is one carrier-blind controller scenario: it sees only the
+// Controller surface, so the table below runs it over the in-process fabric
+// and — the replicas then being ServeNode goroutines behind loopback TCP —
+// over the socket carrier, and both must pass the same assertions.
+type script struct {
+	name    string
+	n       int
+	variant core.Variant
+	run     func(t *testing.T, c *Controller)
+}
+
+var scripts = []script{
+	{"WeakInvokeResolvesImmediately", 3, core.NoCircularCausality, scriptWeakInvokeResolvesImmediately},
+	{"StrongInvokeResolvesAfterCommit", 3, core.NoCircularCausality, scriptStrongInvokeResolvesAfterCommit},
+	{"ConvergenceUnderConcurrentSessions", 4, core.NoCircularCausality, scriptConvergenceUnderConcurrentSessions},
+	{"SessionFIFOEnforced", 2, core.NoCircularCausality, scriptSessionFIFOEnforced},
+	{"MixedLevelsUnderConcurrency", 3, core.NoCircularCausality, scriptMixedLevelsUnderConcurrency},
+	{"OriginalVariantConverges", 3, core.Original, scriptOriginalVariantConverges},
+	{"StableNoticeAndWatch", 3, core.NoCircularCausality, scriptStableNoticeAndWatch},
+	{"StopIsIdempotentAndRejectsWork", 2, core.NoCircularCausality, scriptStopIsIdempotentAndRejectsWork},
+	{"InvalidReplicaAndSession", 2, core.NoCircularCausality, scriptInvalidReplicaAndSession},
+	{"CrashRecoverCatchesUp", 3, core.NoCircularCausality, scriptCrashRecoverCatchesUp},
+	{"PartitionHeal", 3, core.NoCircularCausality, scriptPartitionHeal},
+	{"ParkedMessagesSurviveCrash", 3, core.NoCircularCausality, scriptParkedMessagesSurviveCrash},
+	{"CrashWithPendingContinuation", 3, core.NoCircularCausality, scriptCrashWithPendingContinuation},
+}
+
+// TestController runs every script against both carriers.
+func TestController(t *testing.T) {
+	for _, sc := range scripts {
+		t.Run(sc.name+"/inproc", func(t *testing.T) {
+			c := NewFromConfig(Config{N: sc.n, Variant: sc.variant})
+			defer c.Stop()
+			sc.run(t, c)
+		})
+		t.Run(sc.name+"/socket", func(t *testing.T) {
+			sc.run(t, newLoopback(t, sc.n, sc.variant))
+		})
+	}
+}
+
+// newLoopback hosts n volatile replicas with ServeNode in this process, on
+// reserved loopback ports, and connects a controller to them over TCP. The
+// cleanup stops the controller and waits for every node to shut down.
+func newLoopback(t *testing.T, n int, variant core.Variant) *Controller {
+	t.Helper()
+	addrs := make([]string, n)
+	held := make([]net.Listener, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i], addrs[i] = ln, ln.Addr().String()
+	}
+	for _, ln := range held {
+		ln.Close() // all n were held at once, so the ports are distinct
+	}
+	served := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			served <- ServeNode(NodeConfig{ID: i, Variant: variant, Addrs: addrs, Seed: int64(i + 1)})
+		}(i)
+	}
+	c, err := NewRemote(RemoteConfig{Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Stop()
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-served:
+				if err != nil {
+					t.Errorf("ServeNode: %v", err)
+				}
+			case <-time.After(waitFor):
+				t.Error("a ServeNode goroutine outlived the controller's Stop")
+				return
+			}
+		}
+	})
+	return c
+}
+
+// invokeAt submits on the replica's default session (session id == replica
+// id, pre-opened by the recorder).
+func invokeAt(c *Controller, replica int, op spec.Op, level core.Level) (*record.Call, error) {
+	return c.Invoke(core.SessionID(replica), replica, op, level)
+}
+
+func scriptWeakInvokeResolvesImmediately(t *testing.T, c *Controller) {
+	call, err := invokeAt(c, 1, spec.Append("hello"), core.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +140,8 @@ func TestWeakInvokeResolvesImmediately(t *testing.T) {
 	}
 }
 
-func TestStrongInvokeResolvesAfterCommit(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
-	call, err := c.InvokeAt(2, spec.PutIfAbsent("lock", "me"), core.Strong)
+func scriptStrongInvokeResolvesAfterCommit(t *testing.T, c *Controller) {
+	call, err := invokeAt(c, 2, spec.PutIfAbsent("lock", "me"), core.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,30 +159,26 @@ func TestStrongInvokeResolvesAfterCommit(t *testing.T) {
 	}
 }
 
-func TestConvergenceUnderConcurrentSessions(t *testing.T) {
+func scriptConvergenceUnderConcurrentSessions(t *testing.T, c *Controller) {
 	const (
-		replicas = 4
-		clients  = 8
-		perEach  = 10
+		clients = 8
+		perEach = 10
 	)
-	c := New(replicas, core.NoCircularCausality)
-	defer c.Stop()
+	replicas := c.Replicas()
 
 	// Several concurrent sessions share each replica — the multi-session
 	// model the seed's one-call-per-replica façade could not express.
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
-		sess, err := c.OpenSession(cl % replicas)
-		if err != nil {
-			t.Fatal(err)
-		}
+		replica := cl % replicas
+		sess := c.Recorder().OpenSession(replica)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), waitFor)
 			defer cancel()
 			for k := 0; k < perEach; k++ {
-				call, err := c.Invoke(sess, spec.Inc("ctr", 1), core.Weak)
+				call, err := c.Invoke(sess, replica, spec.Inc("ctr", 1), core.Weak)
 				if err != nil {
 					t.Error(err)
 					return
@@ -125,8 +209,8 @@ func TestConvergenceUnderConcurrentSessions(t *testing.T) {
 	}
 	// The recorded history is well-formed (per-session sequential) and
 	// satisfies the paper's weak-level guarantee.
-	c.MarkStable()
-	h, err := c.History()
+	c.Recorder().MarkStable()
+	h, err := c.Recorder().History()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,23 +222,18 @@ func TestConvergenceUnderConcurrentSessions(t *testing.T) {
 	}
 }
 
-func TestSessionFIFOEnforced(t *testing.T) {
-	c := New(2, core.NoCircularCausality)
-	defer c.Stop()
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+func scriptSessionFIFOEnforced(t *testing.T, c *Controller) {
+	sess := c.Recorder().OpenSession(0)
 	// A strong call leaves the session busy until it commits; a second
 	// invocation in that window must be rejected. To make the window
 	// observable we race: issue the strong call, then immediately try a
 	// weak one on the same session — either the strong one already
 	// resolved (fine) or the weak one errors with ErrSessionBusy.
-	strong, err := c.Invoke(sess, spec.Append("s"), core.Strong)
+	strong, err := c.Invoke(sess, 0, spec.Append("s"), core.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Invoke(sess, spec.Append("w"), core.Weak); err != nil {
+	if _, err := c.Invoke(sess, 0, spec.Append("w"), core.Weak); err != nil {
 		if !errors.Is(err, record.ErrSessionBusy) {
 			t.Fatalf("want ErrSessionBusy, got %v", err)
 		}
@@ -163,9 +242,7 @@ func TestSessionFIFOEnforced(t *testing.T) {
 	}
 }
 
-func TestMixedLevelsUnderConcurrency(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
+func scriptMixedLevelsUnderConcurrency(t *testing.T, c *Controller) {
 
 	var wg sync.WaitGroup
 	results := make([]any, 3)
@@ -174,7 +251,7 @@ func TestMixedLevelsUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			call, err := c.InvokeAt(i, spec.PutIfAbsent("leader", fmt.Sprintf("replica-%d", i)), core.Strong)
+			call, err := invokeAt(c, i, spec.PutIfAbsent("leader", fmt.Sprintf("replica-%d", i)), core.Strong)
 			if err != nil {
 				t.Error(err)
 				return
@@ -203,16 +280,11 @@ func TestMixedLevelsUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestOriginalVariantConverges(t *testing.T) {
-	c := New(3, core.Original)
-	defer c.Stop()
+func scriptOriginalVariantConverges(t *testing.T, c *Controller) {
 	calls := make([]*record.Call, 0, 6)
 	for k := 0; k < 6; k++ {
-		sess, err := c.OpenSession(k % 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		call, err := c.Invoke(sess, spec.Append(fmt.Sprintf("%d", k)), core.Weak)
+		sess := c.Recorder().OpenSession(k % 3)
+		call, err := c.Invoke(sess, k%3, spec.Append(fmt.Sprintf("%d", k)), core.Weak)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,10 +317,8 @@ func TestOriginalVariantConverges(t *testing.T) {
 
 // TestStableNoticeAndWatchOnLiveRun: a weak update's watch stream delivers
 // tentative first and committed last, over real concurrency.
-func TestStableNoticeAndWatchOnLiveRun(t *testing.T) {
-	c := New(3, core.NoCircularCausality)
-	defer c.Stop()
-	call, err := c.InvokeAt(1, spec.Append("n"), core.Weak)
+func scriptStableNoticeAndWatch(t *testing.T, c *Controller) {
+	call, err := invokeAt(c, 1, spec.Append("n"), core.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,31 +348,60 @@ func TestStableNoticeAndWatchOnLiveRun(t *testing.T) {
 	}
 }
 
-func TestStopIsIdempotentAndRejectsWork(t *testing.T) {
-	c := New(2, core.NoCircularCausality)
+func scriptStopIsIdempotentAndRejectsWork(t *testing.T, c *Controller) {
 	c.Stop()
 	c.Stop()
-	if _, err := c.InvokeAt(0, spec.Append("x"), core.Weak); err == nil {
+	if _, err := invokeAt(c, 0, spec.Append("x"), core.Weak); err == nil {
 		t.Error("invoke on stopped cluster must error")
 	}
 	if _, err := c.Read(0, "k", time.Millisecond); err == nil {
 		t.Error("read on stopped cluster must error")
 	}
-	if _, err := c.OpenSession(0); err == nil {
-		t.Error("open session on stopped cluster must error")
+	if _, err := c.Committed(0, time.Millisecond); !errors.Is(err, ErrStopped) {
+		t.Errorf("committed on stopped cluster: err = %v, want ErrStopped", err)
+	}
+	if err := c.Partition([]int{0}, []int{1}); !errors.Is(err, ErrStopped) {
+		t.Errorf("partition on stopped cluster: err = %v, want ErrStopped", err)
 	}
 }
 
-func TestInvalidReplicaAndSession(t *testing.T) {
-	c := New(2, core.NoCircularCausality)
-	defer c.Stop()
-	if _, err := c.InvokeAt(9, spec.Append("x"), core.Weak); err == nil {
+func scriptInvalidReplicaAndSession(t *testing.T, c *Controller) {
+	if _, err := invokeAt(c, 9, spec.Append("x"), core.Weak); err == nil {
 		t.Error("invalid replica must error")
 	}
-	if _, err := c.OpenSession(9); err == nil {
-		t.Error("invalid replica must error on OpenSession")
+	if _, err := c.Invoke(core.SessionID(99), 0, spec.Append("x"), core.Weak); !errors.Is(err, record.ErrUnknownSession) {
+		t.Errorf("unknown session: err = %v, want ErrUnknownSession", err)
 	}
-	if _, err := c.Invoke(core.SessionID(99), spec.Append("x"), core.Weak); err == nil {
-		t.Error("unknown session must error")
+	if _, err := c.SessionCovered(core.SessionID(99), 0, waitFor); !errors.Is(err, record.ErrUnknownSession) {
+		t.Errorf("coverage of an unknown session: err = %v, want ErrUnknownSession", err)
+	}
+	// Every replica-addressed operation validates the id once, in the
+	// controller: an out-of-range id is an error on either carrier, never
+	// an index panic.
+	for _, r := range []int{-1, c.Replicas(), 7} {
+		if _, err := c.Read(r, "k", waitFor); err == nil {
+			t.Errorf("Read(%d) must error", r)
+		}
+		if _, err := c.Committed(r, waitFor); err == nil {
+			t.Errorf("Committed(%d) must error", r)
+		}
+		if _, err := c.BaseLen(r, waitFor); err == nil {
+			t.Errorf("BaseLen(%d) must error", r)
+		}
+		if _, err := c.SessionCovered(0, r, waitFor); err == nil {
+			t.Errorf("SessionCovered(0, %d) must error", r)
+		}
+		if _, err := c.Durability(r, waitFor); err == nil {
+			t.Errorf("Durability(%d) must error", r)
+		}
+		if err := c.Crash(r); err == nil {
+			t.Errorf("Crash(%d) must error", r)
+		}
+		if err := c.Recover(r); err == nil {
+			t.Errorf("Recover(%d) must error", r)
+		}
+		if c.Crashed(r) {
+			t.Errorf("Crashed(%d) = true", r)
+		}
 	}
 }

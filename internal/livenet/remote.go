@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the node-process half of the multi-process deployment: one
-// replica automaton (the same type node the in-process Cluster runs)
+// replica automaton (the same type node the in-process fabric runs)
 // hosted behind a TCP listener, speaking internal/wire envelopes. Peers
 // exchange the replica protocol; the controller process (client.go) drives
 // invocations, inspections, and the fault plane over the same listener and
@@ -29,7 +29,7 @@ import (
 // node holds cross-cell envelopes under the controller's broadcast fault
 // view and releases them when a new view reconnects the cells, with
 // release gated on the target being up, exactly like the in-process
-// releasableLocked.
+// fabric's faultView.
 
 // NodeConfig parametrizes one hosted replica.
 type NodeConfig struct {
@@ -48,8 +48,6 @@ type NodeConfig struct {
 	// and a restarted process restores from the newest intact generation
 	// instead of bootstrapping from peers.
 	DataDir string
-	// Keep bounds the snapshot generations retained (0: store.DefaultKeep).
-	Keep int
 
 	// Seed governs every stochastic choice this node makes (dial-backoff
 	// jitter, injected faults), so a multi-process schedule replays from
@@ -58,15 +56,14 @@ type NodeConfig struct {
 	// Chaos, when enabled, attaches a seeded frame fault injector to every
 	// peer link (controller links are never injected).
 	Chaos wire.FaultConfig
-
-	// AntiEntropyEvery paces the background repair tick: each tick asks one
-	// peer (round-robin) for retransmission from the local commit cursor,
-	// and on the sequencer additionally stamps TOB-cast requests whose
-	// forward frame was lost. Zero disables it; lossless transports
-	// (in-process, clean TCP) converge without it, a chaos deployment needs
-	// it to re-drive frames the injector dropped.
-	AntiEntropyEvery time.Duration
 }
+
+// antiEntropyEvery paces the background repair tick: each tick asks one
+// peer (round-robin) for retransmission from the local commit cursor, and
+// on the sequencer additionally stamps TOB-cast requests whose forward
+// frame was lost. A clean TCP deployment converges without it; one with
+// injected or real frame loss needs it to re-drive what was dropped.
+const antiEntropyEvery = 250 * time.Millisecond
 
 // peerWriteTimeout bounds each peer-bound frame write so a frozen
 // (SIGSTOP'd) receiver surfaces a send error — tearing down the link and
@@ -215,7 +212,7 @@ func ServeNode(cfg NodeConfig) error {
 		r.evDurable = math.MaxInt64
 	}
 	if cfg.DataDir != "" {
-		st, loaded, gen, ok, err := loadImage(cfg.DataDir, cfg.Keep)
+		st, loaded, gen, ok, err := loadImage(cfg.DataDir)
 		if err != nil {
 			return fmt.Errorf("livenet: node %d storage: %w", cfg.ID, err)
 		}
@@ -258,13 +255,11 @@ func ServeNode(cfg NodeConfig) error {
 		defer wg.Done()
 		r.nd.run()
 	}()
-	if cfg.AntiEntropyEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.antiEntropyLoop(cfg.AntiEntropyEvery)
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r.antiEntropyLoop()
+	}()
 
 	go func() {
 		<-r.quit
@@ -293,8 +288,8 @@ func ServeNode(cfg NodeConfig) error {
 // antiEntropyLoop drives the repair tick on the node goroutine until
 // shutdown. The tick itself (node.antiEntropy) is a no-op on a crashed
 // automaton.
-func (r *remoteNode) antiEntropyLoop(every time.Duration) {
-	tick := time.NewTicker(every)
+func (r *remoteNode) antiEntropyLoop() {
+	tick := time.NewTicker(antiEntropyEvery)
 	defer tick.Stop()
 	cursor := 0
 	for {
@@ -394,59 +389,29 @@ func (r *remoteNode) serveController(conn *wire.Conn) {
 		}
 		r.mergeClock(env.Clock)
 		r.ackEvents(env.AckEv)
+		if qk := queryFor(env.Kind); qk != 0 {
+			r.serveQuery(conn, env.Seq, query{kind: qk, key: env.Key, read: env.Read, write: env.Write})
+			continue
+		}
 		switch env.Kind {
 		case wire.KindInvoke:
-			go r.handleInvoke(conn, env)
-		case wire.KindRead:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Value = n.replica.Read(env.Key)
+			go r.serveSubmit(conn, env.Seq, message{
+				kind:     msgInvoke,
+				sess:     core.SessionID(env.Sess),
+				op:       env.Op,
+				strong:   env.Strong,
+				gated:    env.Gated,
+				failFast: env.FailFast,
+				read:     env.Read,
+				write:    env.Write,
+				fence:    env.Fence,
+				castOK:   env.CastOK,
+				castCeil: env.CastCeil,
 			})
-		case wire.KindCommitted:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Reqs = n.replica.Committed()
-			})
-		case wire.KindStats:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Stats = n.replica.Stats()
-			})
-		case wire.KindCompact:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Int = int64(n.replica.Compact())
-			})
-		case wire.KindCheckpoint:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				truncated, err := n.checkpoint()
-				out.Int = int64(truncated)
-				if err != nil {
-					out.Err = err.Error()
-				}
-			})
-		case wire.KindBaseLen:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Int = int64(n.replica.BaseLen())
-			})
-		case wire.KindProbe:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Int = int64(n.replica.CommittedLen())
-				out.Bool = n.replica.HasInternalWork()
-			})
-		case wire.KindCovered:
-			read, write := env.Read, env.Write
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Bool = n.replica.CoversSession(read, write)
-			})
-		case wire.KindDurability:
-			r.handleInspect(conn, env.Seq, func(n *node, out *wire.Envelope) {
-				out.Durab = &wire.Durability{
-					Loaded:    r.loaded,
-					Gen:       r.loadedGen,
-					Saves:     r.saves.Load(),
-					XfersIn:   r.xfersIn.Load(),
-					Committed: int64(n.replica.CommittedLen()),
-				}
-			})
-		case wire.KindCrash, wire.KindRecover:
-			go r.handleControl(conn, env)
+		case wire.KindCrash:
+			go r.serveSubmit(conn, env.Seq, message{kind: msgCrash})
+		case wire.KindRecover:
+			go r.serveSubmit(conn, env.Seq, message{kind: msgRecover})
 		case wire.KindFaultView:
 			r.applyFaultView(env.Cells, env.Down)
 			r.reply(conn, &wire.Envelope{Kind: wire.KindReply, Seq: env.Seq})
@@ -458,78 +423,57 @@ func (r *remoteNode) serveController(conn *wire.Conn) {
 	}
 }
 
-// handleInvoke runs one invocation RPC: the envelope carries everything
-// the in-process client would have computed against the recorder (frozen
-// demand vectors, lease gate), and the node treats it exactly like an
-// in-process invoke with a nil call pointer.
-func (r *remoteNode) handleInvoke(conn *wire.Conn, env wire.Envelope) {
-	m := message{
-		kind:     msgInvoke,
-		sess:     core.SessionID(env.Sess),
-		op:       env.Op,
-		strong:   env.Strong,
-		gated:    env.Gated,
-		failFast: env.FailFast,
-		read:     env.Read,
-		write:    env.Write,
-		fence:    env.Fence,
-		castOK:   env.CastOK,
-		castCeil: env.CastCeil,
-		reply:    make(chan invokeReply, 1),
-	}
+// serveSubmit runs an invocation or a crash/recover RPC on the node
+// goroutine and replies with its verdict. An invocation's envelope carries
+// everything the in-process client would have computed against the
+// recorder (frozen demand vectors, lease gate), and the node treats it
+// exactly like an in-process invoke with a nil call pointer.
+func (r *remoteNode) serveSubmit(conn *wire.Conn, seq uint64, m message) {
+	m.reply = make(chan error, 1)
 	r.deliver(m)
-	out := wire.Envelope{Kind: wire.KindReply, Seq: env.Seq}
+	out := wire.Envelope{Kind: wire.KindReply, Seq: seq}
 	select {
-	case rep := <-m.reply:
-		if rep.err != nil {
-			out.Err = rep.err.Error()
+	case err := <-m.reply:
+		if err != nil {
+			out.Err = err.Error()
 		}
 	case <-r.nd.stop:
 		out.Err = ErrStopped.Error()
 	}
-	// Persist before the reply externalizes the invocation: once the
-	// controller sees the acceptance, a SIGKILL must not unmint it.
-	r.syncPersist()
-	r.reply(conn, &out)
-}
-
-// handleControl runs a crash/recover RPC on the node goroutine.
-func (r *remoteNode) handleControl(conn *wire.Conn, env wire.Envelope) {
-	kind := msgCrash
-	if env.Kind == wire.KindRecover {
-		kind = msgRecover
-	}
-	m := message{kind: kind, reply: make(chan invokeReply, 1)}
-	r.deliver(m)
-	out := wire.Envelope{Kind: wire.KindReply, Seq: env.Seq}
-	select {
-	case rep := <-m.reply:
-		if rep.err != nil {
-			out.Err = rep.err.Error()
-		}
-	case <-r.nd.stop:
-		out.Err = ErrStopped.Error()
+	if m.kind == msgInvoke {
+		// Persist before the reply externalizes the invocation: once the
+		// controller sees the acceptance, a SIGKILL must not unmint it.
+		r.syncPersist()
 	}
 	r.reply(conn, &out)
 }
 
-// handleInspect runs fn on the node goroutine and replies with what it
-// filled in.
-func (r *remoteNode) handleInspect(conn *wire.Conn, seq uint64, fn func(*node, *wire.Envelope)) {
+// serveQuery runs node.answer on the node goroutine and replies with the
+// answer; the storage half of a durability scorecard is filled in here.
+func (r *remoteNode) serveQuery(conn *wire.Conn, seq uint64, q query) {
 	out := &wire.Envelope{Kind: wire.KindReply, Seq: seq}
 	done := make(chan struct{})
-	r.deliver(message{kind: msgInspect, inspect: func(n *node) { fn(n, out) }, done: done})
+	r.deliver(message{kind: msgInspect, inspect: func(n *node) {
+		a, err := n.answer(q)
+		if err != nil {
+			out.Err = err.Error()
+		}
+		out.Value, out.Reqs, out.Stats, out.Int, out.Bool, out.Durab = a.value, a.reqs, a.stats, int64(a.n), a.flag, a.durab
+	}, done: done})
 	select {
 	case <-done:
+		if d := out.Durab; d != nil {
+			d.Loaded, d.Gen, d.Saves, d.XfersIn = r.loaded, r.loadedGen, r.saves.Load(), r.xfersIn.Load()
+		}
+		r.reply(conn, out)
 	case <-r.nd.stop:
-		out.Err = ErrStopped.Error()
+		r.reply(conn, &wire.Envelope{Kind: wire.KindReply, Seq: seq, Err: ErrStopped.Error()})
 	}
-	r.reply(conn, out)
 }
 
 // applyFaultView adopts a controller fault broadcast and releases parked
 // envelopes the new view reconnects (targets still down stay parked, like
-// the in-process fabric's releasableLocked).
+// the in-process fabric's faultView).
 func (r *remoteNode) applyFaultView(cells []int, down []bool) {
 	r.partMu.Lock()
 	if len(cells) == len(r.cells) {
@@ -588,6 +532,9 @@ func (r *remoteNode) pumpPeer(to int) {
 				fmt.Fprintf(os.Stderr, "bayou-node %d: send to %d: %v (%d frames dropped)\n", r.cfg.ID, to, err, dropped)
 			}
 		case <-r.quit:
+			// Hang up, so the peer's reader of this connection returns
+			// even when the node is hosted in a longer-lived process.
+			r.links[to].Close()
 			return
 		}
 	}

@@ -31,6 +31,9 @@ var ErrSessionBusy = errors.New("record: session awaiting a response")
 // the serving replica cannot yet cover the session's guarantee vectors.
 var ErrGuarantee = errors.New("record: session guarantee not yet satisfiable at this replica")
 
+// ErrUnknownSession reports a session id the table never minted.
+var ErrUnknownSession = errors.New("record: unknown session")
+
 // Update is one response-status event delivered on a watch stream: the
 // status the call's response transitioned to, the response value at that
 // moment, and the driver's wall time of the transition.
@@ -423,6 +426,13 @@ type Recorder struct {
 	guar   map[core.SessionID]*guarSession // guarded by mu
 	parked map[core.SessionID]*Call        // guarded by mu
 
+	// bound is the session registry: a session is a sequential client
+	// (§3.2) and replicas know nothing of it, so the one table lives here,
+	// on the client side of every substrate. Ids are minted densely — a
+	// session is known iff it indexes bound — and bound[s] is the replica
+	// the session currently invokes at by default.
+	bound []int // guarded by mu
+
 	// leaseTrack, when non-nil (EnableLeaseTracking), counts each session's
 	// TOB-cast operations that have not yet been delivered, and the largest
 	// delivery position among those that have — the serve gate for lease
@@ -450,9 +460,16 @@ type guarSession struct {
 	write core.Vec
 }
 
-// New returns an empty recorder.
-func New() *Recorder {
+// New returns an empty recorder for a deployment of n replicas. Sessions
+// 0..n-1 are pre-opened as one default session per replica (session i bound
+// to replica i); OpenSession mints fresh ids from n on.
+func New(n int) *Recorder {
+	bound := make([]int, n)
+	for i := range bound {
+		bound[i] = i
+	}
 	return &Recorder{
+		bound:  bound,
 		calls:  make(map[core.Dot]*Call),
 		events: make(map[core.Dot]*history.Event),
 		tobNos: make(map[core.Dot]int64),
@@ -565,16 +582,77 @@ func (r *Recorder) Guarantees(session core.SessionID) (core.Guarantee, core.Guar
 	return 0, core.WaitForCoverage
 }
 
+// OpenSession mints a fresh sequential session bound to the given replica.
+// Any number of sessions may share a replica. The caller validates replica
+// against its deployment; the table only stores it.
+func (r *Recorder) OpenSession(replica int) core.SessionID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.bound = append(r.bound, replica)
+	return core.SessionID(len(r.bound) - 1)
+}
+
+// SessionReplica returns the replica a session is bound to.
+func (r *Recorder) SessionReplica(session core.SessionID) (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.knownLocked(session) != nil {
+		return 0, false
+	}
+	return r.bound[session], true
+}
+
+// BindSession re-binds a session to another replica — the mobile-session
+// migration step. The guarantee vectors live in this same table, so they
+// follow the session for free. A session with an outstanding call cannot
+// move (ErrSessionBusy): its continuation is owed by the old replica.
+func (r *Recorder) BindSession(session core.SessionID, replica int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.admitLocked(session); err != nil {
+		return err
+	}
+	r.bound[session] = replica
+	return nil
+}
+
+// KnownSession returns ErrUnknownSession for an id the table never minted.
+func (r *Recorder) KnownSession(session core.SessionID) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.knownLocked(session)
+}
+
+func (r *Recorder) knownLocked(session core.SessionID) error {
+	if session < 0 || int(session) >= len(r.bound) {
+		return fmt.Errorf("%w %d", ErrUnknownSession, session)
+	}
+	return nil
+}
+
+// admitLocked is the gate every invocation and re-bind passes: the session
+// must be in the table and must not have a call outstanding.
+func (r *Recorder) admitLocked(session core.SessionID) error {
+	if err := r.knownLocked(session); err != nil {
+		return err
+	}
+	if r.busyLocked(session) {
+		return fmt.Errorf("%w: session %d", ErrSessionBusy, session)
+	}
+	return nil
+}
+
 // SessionGate is the single-lock invoke gate: the session's guarantee mask
-// and mode, plus whether it is busy. Drivers call it once per invocation —
-// the plain-session hot path pays exactly the one lock SessionBusy cost.
-func (r *Recorder) SessionGate(session core.SessionID) (g core.Guarantee, mode core.GuaranteeMode, busy bool) {
+// and mode, plus the admission verdict (ErrUnknownSession, ErrSessionBusy).
+// The simulator calls it once per invocation — the plain-session hot path
+// pays exactly the one lock SessionBusy cost.
+func (r *Recorder) SessionGate(session core.SessionID) (g core.Guarantee, mode core.GuaranteeMode, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if gs := r.guar[session]; gs != nil {
 		g, mode = gs.g, gs.mode
 	}
-	return g, mode, r.busyLocked(session)
+	return g, mode, r.admitLocked(session)
 }
 
 // SessionBusy reports whether the session's latest invocation is still
@@ -643,14 +721,15 @@ func (r *Recorder) demandsLocked(gs *guarSession, updating bool) (read, write co
 
 // PendingInvoke atomically marks the session busy and mints the client's
 // call handle for an invocation that has not yet been accepted by a replica
-// (its dot is unminted). Guarantee-aware drivers create the call first,
-// then either complete it immediately (coverage holds), park it (coverage
-// pending), or cancel it (fail-fast / replica down).
+// (its dot is unminted); an unknown or busy session is rejected
+// (ErrUnknownSession, ErrSessionBusy). Guarantee-aware drivers create the
+// call first, then either complete it immediately (coverage holds), park it
+// (coverage pending), or cancel it (fail-fast / replica down).
 func (r *Recorder) PendingInvoke(session core.SessionID, op spec.Op, level core.Level, wall int64) (*Call, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.busyLocked(session) {
-		return nil, fmt.Errorf("%w: session %d", ErrSessionBusy, session)
+	if err := r.admitLocked(session); err != nil {
+		return nil, err
 	}
 	call := &Call{
 		session: session, op: op, level: level,
@@ -661,6 +740,16 @@ func (r *Recorder) PendingInvoke(session core.SessionID, op spec.Op, level core.
 	r.parked[session] = call
 	r.callList = append(r.callList, call)
 	return call, nil
+}
+
+// PendingCall returns the session's un-minted pending invocation, nil when
+// there is none. A node process ships its completion and cancellation
+// events call-blind; sessions are sequential, so the session id identifies
+// the one pending call the controller must resolve them against.
+func (r *Recorder) PendingCall(session core.SessionID) *Call {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.parked[session]
 }
 
 // FreezeDemands assembles the session's coverage demand (see Demands) and

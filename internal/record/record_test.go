@@ -2,6 +2,7 @@ package record
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func resp(d core.Dot, op spec.Op, v spec.Value, committed bool) core.Response {
 }
 
 func TestSessionBusyAndHistoryKeying(t *testing.T) {
-	r := New()
+	r := New(8)
 	d1, d2 := dot(0, 1), dot(0, 2)
 	// Two sessions on the same replica: each keys its own history lane.
 	r.Invoked(5, d1, spec.Append("a"), core.Weak, 1, true, 10)
@@ -46,7 +47,7 @@ func TestSessionBusyAndHistoryKeying(t *testing.T) {
 }
 
 func TestNoSessionInvocationsAreNotRecorded(t *testing.T) {
-	r := New()
+	r := New(8)
 	if call := r.Invoked(core.NoSession, dot(0, 1), spec.Append("x"), core.Weak, 1, false, 0); call != nil {
 		t.Fatal("NoSession invocations must not produce call handles")
 	}
@@ -56,7 +57,7 @@ func TestNoSessionInvocationsAreNotRecorded(t *testing.T) {
 }
 
 func TestCallLifecycleWeakUpdate(t *testing.T) {
-	r := New()
+	r := New(8)
 	d := dot(1, 1)
 	op := spec.Append("v")
 	call := r.Invoked(3, d, op, core.Weak, 1, true, 0)
@@ -93,7 +94,7 @@ func TestCallLifecycleWeakUpdate(t *testing.T) {
 // TestUpdatesSubscriptionReplaysAndCloses: a late subscriber sees the whole
 // log; the channel closes at terminal.
 func TestUpdatesSubscriptionReplaysAndCloses(t *testing.T) {
-	r := New()
+	r := New(8)
 	d := dot(0, 1)
 	op := spec.Append("x")
 	call := r.Invoked(2, d, op, core.Weak, 1, true, 0)
@@ -129,7 +130,7 @@ func TestUpdatesSubscriptionReplaysAndCloses(t *testing.T) {
 // TestStrongAndReadOnlyTerminality: a committed response and a never-cast
 // response are terminal at once — nothing further can arrive.
 func TestStrongAndReadOnlyTerminality(t *testing.T) {
-	r := New()
+	r := New(8)
 	strongDot, roDot := dot(0, 1), dot(0, 2)
 	strong := r.Invoked(1, strongDot, spec.Append("s"), core.Strong, 1, true, 0)
 	r.Responded(resp(strongDot, spec.Append("s"), "s", true), 1)
@@ -152,7 +153,7 @@ func TestStrongAndReadOnlyTerminality(t *testing.T) {
 // under the race detector: one goroutine publishes transitions while others
 // subscribe and drain.
 func TestConcurrentPublishAndSubscribe(t *testing.T) {
-	r := New()
+	r := New(8)
 	d := dot(0, 1)
 	op := spec.Append("x")
 	call := r.Invoked(1, d, op, core.Weak, 1, true, 0)
@@ -190,7 +191,7 @@ func TestConcurrentPublishAndSubscribe(t *testing.T) {
 // not live event records — assembling a history (and reading it) while
 // responses keep landing is exactly what the live driver does.
 func TestHistorySnapshotWhileResponding(t *testing.T) {
-	r := New()
+	r := New(8)
 	const n = 200
 	ops := make([]core.Dot, n)
 	for i := range ops {
@@ -225,13 +226,13 @@ func TestHistorySnapshotWhileResponding(t *testing.T) {
 // --- session-guarantee table ------------------------------------------------
 
 func TestGuaranteeVectorsAndDemands(t *testing.T) {
-	r := New()
+	r := New(8)
 	r.SetGuarantees(7, core.ReadYourWrites|core.MonotonicReads, core.WaitForCoverage)
 	if g, mode := r.Guarantees(7); g != core.ReadYourWrites|core.MonotonicReads || mode != core.WaitForCoverage {
 		t.Fatalf("Guarantees(7) = %v, %v", g, mode)
 	}
-	if g, _, busy := r.SessionGate(7); g == 0 || busy {
-		t.Fatalf("gate = %v busy=%v", g, busy)
+	if g, _, err := r.SessionGate(7); g == 0 || err != nil {
+		t.Fatalf("gate = %v err=%v", g, err)
 	}
 
 	// A write enters the write vector (→ read demand under RYW).
@@ -276,7 +277,7 @@ func TestGuaranteeVectorsAndDemands(t *testing.T) {
 }
 
 func TestPendingInvokeLifecycle(t *testing.T) {
-	r := New()
+	r := New(8)
 	r.SetGuarantees(3, core.Causal, core.WaitForCoverage)
 	call, err := r.PendingInvoke(3, spec.Append("x"), core.Weak, 1)
 	if err != nil {
@@ -329,7 +330,7 @@ func TestPendingInvokeLifecycle(t *testing.T) {
 }
 
 func TestCancelInvokeReleasesSession(t *testing.T) {
-	r := New()
+	r := New(8)
 	r.SetGuarantees(4, core.ReadYourWrites, core.FailFast)
 	call, err := r.PendingInvoke(4, spec.Append("x"), core.Weak, 1)
 	if err != nil {
@@ -344,5 +345,71 @@ func TestCancelInvokeReleasesSession(t *testing.T) {
 	}
 	if _, err := r.PendingInvoke(4, spec.Append("y"), core.Weak, 2); err != nil {
 		t.Errorf("session must accept a retry after cancel: %v", err)
+	}
+}
+
+// --- session table -----------------------------------------------------------
+
+// TestSessionTable pins the registry the substrates used to keep one copy
+// each of: default sessions, id minting, the busy-checked re-bind, the
+// unknown-session error, and the binding outliving a cancelled invocation.
+func TestSessionTable(t *testing.T) {
+	const n = 3
+	r := New(n)
+	for i := 0; i < n; i++ {
+		if rep, ok := r.SessionReplica(core.SessionID(i)); !ok || rep != i {
+			t.Errorf("default session %d bound to (%d, %v), want (%d, true)", i, rep, ok, i)
+		}
+	}
+	if a, b := r.OpenSession(2), r.OpenSession(2); a != n || b != n+1 {
+		t.Errorf("fresh ids = %d, %d, want %d, %d", a, b, n, n+1)
+	}
+	if rep, ok := r.SessionReplica(n); !ok || rep != 2 {
+		t.Errorf("minted session bound to (%d, %v), want (2, true)", rep, ok)
+	}
+
+	for _, s := range []core.SessionID{-1, n + 2, 99} {
+		if _, ok := r.SessionReplica(s); ok {
+			t.Errorf("SessionReplica(%d) reports a binding", s)
+		}
+		if err := r.BindSession(s, 0); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("BindSession(%d) = %v, want ErrUnknownSession", s, err)
+		}
+		if _, err := r.PendingInvoke(s, spec.Append("x"), core.Weak, 0); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("PendingInvoke(%d) = %v, want ErrUnknownSession", s, err)
+		}
+		if _, _, err := r.SessionGate(s); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("SessionGate(%d) = %v, want ErrUnknownSession", s, err)
+		}
+	}
+	if got := len(r.Calls()); got != 0 {
+		t.Fatalf("rejected invocations left %d calls behind", got)
+	}
+
+	call, err := r.PendingInvoke(n, spec.Append("x"), core.Weak, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.PendingCall(n); got != call {
+		t.Errorf("PendingCall = %p, want the pending call %p", got, call)
+	}
+	if err := r.BindSession(n, 0); !errors.Is(err, ErrSessionBusy) {
+		t.Errorf("re-bind of a busy session = %v, want ErrSessionBusy", err)
+	}
+	if rep, _ := r.SessionReplica(n); rep != 2 {
+		t.Errorf("refused re-bind moved the session to %d", rep)
+	}
+	r.CancelInvoke(call)
+	if rep, ok := r.SessionReplica(n); !ok || rep != 2 {
+		t.Errorf("binding after CancelInvoke = (%d, %v), want (2, true)", rep, ok)
+	}
+	if r.PendingCall(n) != nil {
+		t.Error("cancelled call still pending")
+	}
+	if err := r.BindSession(n, 0); err != nil {
+		t.Fatalf("re-bind of the released session: %v", err)
+	}
+	if rep, _ := r.SessionReplica(n); rep != 0 {
+		t.Errorf("session bound to %d after re-bind, want 0", rep)
 	}
 }

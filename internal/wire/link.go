@@ -22,14 +22,12 @@ type Link struct {
 	addr  string
 	hello Envelope
 
-	mu sync.Mutex
-	// connectBudget bounds one Send's total dial-and-retry time.
-	connectBudget time.Duration // guarded by mu
-	conn          *Conn         // guarded by mu; nil when disconnected
-	closed        bool          // guarded by mu
-	faults        *Faults       // guarded by mu; attached to each fresh conn
-	writeTmo      time.Duration // guarded by mu; propagated to each fresh conn
-	rng           *rand.Rand    // guarded by mu; nil = jitter-free backoff
+	mu       sync.Mutex
+	conn     *Conn         // guarded by mu; nil when disconnected
+	closed   bool          // guarded by mu
+	faults   *Faults       // guarded by mu; attached to each fresh conn
+	writeTmo time.Duration // guarded by mu; propagated to each fresh conn
+	rng      *rand.Rand    // guarded by mu; nil = jitter-free backoff
 }
 
 // backoff bounds for re-dialing.
@@ -39,24 +37,15 @@ const (
 	dialTimeout    = 2 * time.Second
 )
 
-// DefaultConnectBudget is how long a Send keeps re-dialing an unreachable
-// peer before reporting failure.
+// DefaultConnectBudget is how long a Link's Send — and the controller's
+// first dial of each node — keeps re-dialing an unreachable peer before
+// reporting failure.
 const DefaultConnectBudget = 15 * time.Second
 
 // NewLink prepares an outbound link (no connection is made until the first
 // Send). hello is sent first on every fresh connection.
 func NewLink(addr string, hello Envelope) *Link {
-	return &Link{addr: addr, hello: hello, connectBudget: DefaultConnectBudget}
-}
-
-// SetConnectBudget bounds one Send's total dial-and-retry time; chaos
-// deployments shorten it so a killed peer surfaces promptly.
-func (l *Link) SetConnectBudget(d time.Duration) {
-	l.mu.Lock()
-	if d > 0 {
-		l.connectBudget = d
-	}
-	l.mu.Unlock()
+	return &Link{addr: addr, hello: hello}
 }
 
 // SetFaults attaches a seeded fault injector to every connection the link
@@ -149,7 +138,7 @@ func (l *Link) Send(env *Envelope) error {
 // connectLocked dials with backoff until the budget runs out. Caller holds
 // l.mu.
 func (l *Link) connectLocked() error {
-	conn, err := dialJittered(l.addr, l.hello, l.connectBudget, l.rng)
+	conn, err := dialJittered(l.addr, l.hello, DefaultConnectBudget, l.rng)
 	if err != nil {
 		return err
 	}

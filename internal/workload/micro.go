@@ -53,13 +53,11 @@ func MicroMultiSession(sessions, ops int) error {
 	c.StabilizeOmega(0)
 	ids := make([]core.SessionID, sessions)
 	for i := range ids {
-		if ids[i], err = c.OpenSession(0); err != nil {
-			return err
-		}
+		ids[i] = c.Recorder().OpenSession(0)
 	}
 	for k := 0; k < ops; k++ {
 		for _, s := range ids {
-			if _, err := c.InvokeSession(s, spec.Inc("c", 1), core.Weak); err != nil {
+			if _, err := c.InvokeSessionAt(s, 0, spec.Inc("c", 1), core.Weak); err != nil {
 				return err
 			}
 		}
@@ -84,15 +82,13 @@ func MicroGuaranteeSession(sessions, ops int) error {
 	c.StabilizeOmega(0)
 	ids := make([]core.SessionID, sessions)
 	for i := range ids {
-		if ids[i], err = c.OpenSession(0); err != nil {
-			return err
-		}
+		ids[i] = c.Recorder().OpenSession(0)
 		c.Recorder().SetGuarantees(ids[i], core.ReadYourWrites|core.MonotonicReads, core.WaitForCoverage)
 	}
 	for k := 0; k < ops; k++ {
 		for _, s := range ids {
 			for try := 0; ; try++ {
-				_, err := c.InvokeSession(s, spec.Inc("c", 1), core.Weak)
+				_, err := c.InvokeSessionAt(s, 0, spec.Inc("c", 1), core.Weak)
 				if err == nil {
 					break
 				}
@@ -248,9 +244,7 @@ func MicroStrongBurstStats(writes, reads, pipeline, batchCap int, lease bool) (S
 	c.StabilizeOmega(0)
 	ids := make([]core.SessionID, StrongBurstSessions)
 	for i := range ids {
-		if ids[i], err = c.OpenSession(0); err != nil {
-			return st, err
-		}
+		ids[i] = c.Recorder().OpenSession(0)
 	}
 	phase := func(n int, op spec.Op) error {
 		issued := 0
@@ -260,7 +254,7 @@ func MicroStrongBurstStats(writes, reads, pipeline, batchCap int, lease bool) (S
 				if issued >= n {
 					break
 				}
-				if _, err := c.InvokeSession(s, op, core.Strong); err != nil {
+				if _, err := c.InvokeSessionAt(s, 0, op, core.Strong); err != nil {
 					if errors.Is(err, record.ErrSessionBusy) {
 						continue
 					}
@@ -319,12 +313,9 @@ func NewLeaseFixture(history int) (*LeaseFixture, error) {
 		return nil, err
 	}
 	c.StabilizeOmega(0)
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		return nil, err
-	}
+	sess := c.Recorder().OpenSession(0)
 	for k := 0; k < history; k++ {
-		if _, err := c.InvokeSession(sess, spec.Inc("c", 1), core.Strong); err != nil {
+		if _, err := c.InvokeSessionAt(sess, 0, spec.Inc("c", 1), core.Strong); err != nil {
 			return nil, err
 		}
 		if err := c.Settle(0); err != nil {
@@ -358,7 +349,7 @@ func waitLease(c *cluster.Cluster) error {
 // proposal path at depth one, since a sequential session has exactly one
 // strong call outstanding).
 func (f *LeaseFixture) Write() error {
-	if _, err := f.C.InvokeSession(f.Sess, spec.Inc("c", 1), core.Strong); err != nil {
+	if _, err := f.C.InvokeSessionAt(f.Sess, 0, spec.Inc("c", 1), core.Strong); err != nil {
 		return err
 	}
 	return f.C.Settle(0)
@@ -369,7 +360,7 @@ func (f *LeaseFixture) Write() error {
 // lease lapsed, or it fell back to consensus) is an error: the benchmark
 // must measure the local path, not a mixture.
 func (f *LeaseFixture) Read() error {
-	call, err := f.C.InvokeSession(f.Sess, spec.Get("c"), core.Strong)
+	call, err := f.C.InvokeSessionAt(f.Sess, 0, spec.Get("c"), core.Strong)
 	if err != nil {
 		return err
 	}
@@ -440,18 +431,15 @@ func MicroTxnStrongCommit(ops int) error {
 		return err
 	}
 	c.StabilizeOmega(0)
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		return err
-	}
-	if _, err := c.InvokeSession(sess, spec.Deposit("a", int64(ops)), core.Strong); err != nil {
+	sess := c.Recorder().OpenSession(0)
+	if _, err := c.InvokeSessionAt(sess, 0, spec.Deposit("a", int64(ops)), core.Strong); err != nil {
 		return err
 	}
 	if err := c.Settle(0); err != nil {
 		return err
 	}
 	for k := 0; k < ops; k++ {
-		call, err := c.InvokeSession(sess, transferTxn(), core.Strong)
+		call, err := c.InvokeSessionAt(sess, 0, transferTxn(), core.Strong)
 		if err != nil {
 			return err
 		}

@@ -116,9 +116,8 @@ type Session struct {
 	g    Guarantee
 	mode GuaranteeMode
 
-	mu      sync.Mutex
-	replica int
-	last    *Call
+	mu   sync.Mutex
+	last *Call
 }
 
 // Session mints a new sequential session bound to the given replica.
@@ -140,14 +139,11 @@ func (c *Cluster) Session(replica int, opts ...SessionOption) (*Session, error) 
 			return nil, err
 		}
 	}
-	id, err := c.drv.OpenSession(replica)
-	if err != nil {
-		return nil, err
-	}
+	id := c.rec.OpenSession(replica)
 	if sc.g != 0 {
 		c.rec.SetGuarantees(id, sc.g, sc.mode)
 	}
-	return &Session{c: c, id: id, g: sc.g, mode: sc.mode, replica: replica}, nil
+	return &Session{c: c, id: id, g: sc.g, mode: sc.mode}, nil
 }
 
 // ID returns the session's identifier (the Session key of history events).
@@ -155,9 +151,8 @@ func (s *Session) ID() SessionID { return s.id }
 
 // Replica returns the replica the session is currently bound to.
 func (s *Session) Replica() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replica
+	replica, _ := s.c.rec.SessionReplica(s.id)
+	return replica
 }
 
 // Guarantees returns the guarantee mask the session carries.
@@ -172,13 +167,7 @@ func (s *Session) Bind(replica int) error {
 	if replica < 0 || replica >= s.c.n {
 		return fmt.Errorf("bayou: no replica %d", replica)
 	}
-	if err := s.c.drv.Bind(s.id, replica); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.replica = replica
-	s.mu.Unlock()
-	return nil
+	return s.c.rec.BindSession(s.id, replica)
 }
 
 // Covered reports whether the replica's current state dominates the
