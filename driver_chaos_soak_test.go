@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,66 @@ func TestDriverSocketDurableRestart(t *testing.T) {
 	}
 }
 
+// TestDriverSocketParkedInvokeSurvivesKill: a guarantee-gated invocation
+// parked on coverage was already accepted, so SIGKILLing the node that
+// holds it must not lose it — the restarted process completes it once it
+// catches up.
+func TestDriverSocketParkedInvokeSurvivesKill(t *testing.T) {
+	const n = 3
+	c, d := newChaosCluster(t, launch.Options{N: n})
+	defer c.Close()
+
+	gs, err := c.Session(1, WithGuarantees(ReadYourWrites))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut replica 2 off so it cannot see the session's write at 1.
+	if err := c.Partition([]int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.Invoke(SetAdd("gset", "seen"), Weak); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Bind(2); err != nil {
+		t.Fatal(err)
+	}
+	call, err := gs.Invoke(SetAdd("gset", "parked"), Weak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if call.Done() {
+		t.Fatal("the invocation at the cut-off replica completed; want it parked on coverage")
+	}
+
+	if err := d.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote(t, c).Durability(2, liveTimeout); err != nil {
+		t.Fatalf("durability(2) after restart: %v", err)
+	}
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Settle(); err != nil {
+		t.Fatalf("settle after restart: %v", err)
+	}
+	if !call.Done() {
+		t.Fatal("the parked invocation was lost with the process")
+	}
+	for r := 0; r < n; r++ {
+		v, err := c.Read(r, "set/gset")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := fmt.Sprint(v); !strings.Contains(s, "parked") || !strings.Contains(s, "seen") {
+			t.Errorf("gset at replica %d = %s, want both adds", r, s)
+		}
+	}
+}
+
 // TestDriverSocketFrozenNodeTimeout pins the controller's RPC deadline: a
 // SIGSTOP'd node must surface as an error within the caller's timeout, not
 // hang the controller, and the node must answer again after SIGCONT.
@@ -233,6 +294,36 @@ func TestChaosSoak(t *testing.T) {
 			chaosSoakRun(t, seed)
 		})
 	}
+}
+
+// stuckCalls describes, for a failed settle, every call that is not
+// terminal and where its dot stands on each replica.
+func stuckCalls(t *testing.T, c *Cluster) string {
+	var b strings.Builder
+	rm := remote(t, c)
+	for _, call := range c.Calls() {
+		if call.Terminal() {
+			continue
+		}
+		replica, _ := c.rec.SessionReplica(call.Session())
+		fmt.Fprintf(&b, "\nstuck: call %s %s at replica %d, done %v:", call.Dot(), call.Op().Name(), replica, call.Done())
+		for r := 0; r < rm.Replicas(); r++ {
+			suffix, err := rm.Committed(r, liveTimeout)
+			if err != nil {
+				fmt.Fprintf(&b, " r%d %v;", r, err)
+				continue
+			}
+			pos := -1
+			for i, req := range suffix {
+				if req.Dot == call.Dot() {
+					pos = i
+				}
+			}
+			du, _ := rm.Durability(r, liveTimeout)
+			fmt.Fprintf(&b, " r%d committed at %d of %d (loaded %v gen %d);", r, pos, len(suffix), du.Loaded, du.Gen)
+		}
+	}
+	return b.String()
 }
 
 // chaosTotal is the bank sum the transfer units shuffle; conservation at
@@ -448,7 +539,7 @@ func chaosSoakRun(t *testing.T, seed int64) {
 		if err := c.Settle(); err == nil {
 			return
 		} else if err2 := c.Settle(); err2 != nil {
-			fail("%s: %v", stage, err2)
+			fail("%s: %v%s", stage, err2, stuckCalls(t, c))
 		}
 	}
 	settle("settle after repair")

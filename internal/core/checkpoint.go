@@ -130,7 +130,9 @@ func (s *DotSet) GobEncode() ([]byte, error) {
 	return buf, nil
 }
 
-// GobDecode rebuilds the set from its GobEncode flattening.
+// GobDecode rebuilds the set from its GobEncode flattening. The data comes
+// off the wire, so a count is checked against the bytes that must follow
+// it (two varints per replica and per span) before anything is sized by it.
 func (s *DotSet) GobDecode(data []byte) error {
 	next := func() (int64, error) {
 		v, n := binary.Varint(data)
@@ -140,7 +142,14 @@ func (s *DotSet) GobDecode(data []byte) error {
 		data = data[n:]
 		return v, nil
 	}
-	nReplicas, err := next()
+	count := func() (int64, error) {
+		n, err := next()
+		if err == nil && (n < 0 || n > int64(len(data)/2)) {
+			err = fmt.Errorf("core: DotSet count %d exceeds its encoding", n)
+		}
+		return n, err
+	}
+	nReplicas, err := count()
 	if err != nil {
 		return err
 	}
@@ -154,7 +163,7 @@ func (s *DotSet) GobDecode(data []byte) error {
 		if err != nil {
 			return err
 		}
-		nSpans, err := next()
+		nSpans, err := count()
 		if err != nil {
 			return err
 		}

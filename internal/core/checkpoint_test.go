@@ -1,10 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"bayou/internal/spec"
 )
@@ -53,6 +53,33 @@ func TestDotSet(t *testing.T) {
 	s.Add(Dot{Replica: 0, EventNo: 3})
 	if s.Count() != before {
 		t.Fatal("re-add changed count")
+	}
+}
+
+// A DotSet's wire form comes from a peer: a count larger than the bytes
+// behind it (or negative) is an error, not an allocation sized by it or a
+// makeslice panic.
+func TestDotSetGobDecodeBoundsCounts(t *testing.T) {
+	var s DotSet
+	s.Add(Dot{Replica: 1, EventNo: 4})
+	s.Add(Dot{Replica: 3, EventNo: 9})
+	enc, err := s.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back DotSet
+	if err := back.GobDecode(enc); err != nil || back.String() != s.String() {
+		t.Fatalf("round trip = %s, %v; want %s", back.String(), err, s.String())
+	}
+	for name, data := range map[string][]byte{
+		"replicas":       binary.AppendVarint(nil, 1<<40),
+		"negative":       binary.AppendVarint(nil, -3),
+		"spans":          binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, 1), 0), 1<<40),
+		"negative spans": binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, 1), 0), -1),
+	} {
+		if err := new(DotSet).GobDecode(data); err == nil {
+			t.Errorf("%s: decoded % x without error", name, data)
+		}
 	}
 }
 
@@ -364,7 +391,7 @@ func diffResponses(t *testing.T, step int, chkEff, twinEff *Effects, twin *Repli
 // orders, responses, traces (reconstructed over the base) and registers —
 // checkpointing is a pure representation change.
 func TestCheckpointMatchesFullHistoryTwin(t *testing.T) {
-	base := time.Now().UnixNano()
+	const base = 1792039697446861202
 	for run := 0; run < 6; run++ {
 		seed := base + int64(run)*104729
 		for _, variant := range []Variant{Original, NoCircularCausality} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"bayou/internal/spec"
 )
@@ -139,10 +138,10 @@ func compare(t *testing.T, step int, p *Replica, ref *refEngine) {
 // naive rebuild-from-scratch reference through randomized schedules of
 // invokes, RB/TOB deliveries (single and batched) and internal steps, for
 // both protocol variants, comparing all four schedule components and the
-// trace after every transition. Run with -count=5: every run draws fresh
-// seeds (logged for reproduction).
+// trace after every transition. The seeds are a fixed corpus so subtest
+// names are stable; edit the base to explore others.
 func TestEngineMatchesNaiveReference(t *testing.T) {
-	base := time.Now().UnixNano()
+	const base = 1792039697524778631
 	for run := 0; run < 8; run++ {
 		seed := base + int64(run)*7919
 		for _, variant := range []Variant{Original, NoCircularCausality} {

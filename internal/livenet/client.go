@@ -89,10 +89,16 @@ type sockets struct {
 	pendRPC map[uint64]pendingRPC // guarded by mu
 
 	// view is the last fault view the controller pushed, kept to re-send to
-	// a node whose stream reconnects. The slices are never mutated.
+	// a node whose stream reconnects. The slices are never mutated. viewNo
+	// numbers it: pushes to one node can overtake each other (a reconnect's
+	// re-send is a goroutine of its own), and a node keeps only the newest,
+	// so a stale view cannot re-partition it after a heal. Numbering starts
+	// at the controller's start time in nanoseconds, so a later controller's
+	// views supersede an earlier one's on nodes that outlive it.
 	viewMu sync.Mutex
 	cells  []int  // guarded by viewMu
 	down   []bool // guarded by viewMu
+	viewNo int64  // guarded by viewMu
 }
 
 // dialSockets connects to every node process and starts the event-stream
@@ -106,6 +112,7 @@ func dialSockets(addrs []string, sink func(obsEvent)) (*sockets, error) {
 		evApplied: make([]atomic.Int64, n),
 		cells:     make([]int, n),
 		down:      make([]bool, n),
+		viewNo:    time.Now().UnixNano(),
 	}
 	hello := wire.Envelope{Kind: wire.KindHello, From: wire.ControllerID}
 	for i := 0; i < n; i++ {
@@ -251,7 +258,7 @@ func (s *sockets) setConn(node int, c *wire.Conn) bool {
 // cannot fail a partition of the live ones.
 func (s *sockets) pushView(node int, timeout time.Duration) {
 	s.viewMu.Lock()
-	env := wire.Envelope{Kind: wire.KindFaultView, Cells: s.cells, Down: s.down}
+	env := wire.Envelope{Kind: wire.KindFaultView, Cells: s.cells, Down: s.down, Int: s.viewNo}
 	s.viewMu.Unlock()
 	_, _ = s.rpcT(node, &env, timeout) // re-pushed on reconnect
 }
@@ -262,6 +269,7 @@ func (s *sockets) pushView(node int, timeout time.Duration) {
 func (s *sockets) faultView(cells []int, down []bool) {
 	s.viewMu.Lock()
 	s.cells, s.down = cells, down
+	s.viewNo++
 	s.viewMu.Unlock()
 	for i := range s.addrs {
 		s.pushView(i, faultViewTimeout)

@@ -25,7 +25,9 @@ import (
 // nowhere else if the frames announcing it were still in flight (or
 // dropped by the fault injector) when the process died, so it is persisted
 // here and re-announced at boot — receivers dedup, so re-announcing what
-// did arrive is harmless.
+// did arrive is harmless. For the same reason the image carries the
+// guarantee-gated invocations parked on coverage: the controller was told
+// each was accepted, and nothing outside this process knows of it.
 
 // NodeImage is one process's durable state, gob-encoded into a store
 // generation.
@@ -48,6 +50,11 @@ type NodeImage struct {
 	// so without this record its body would not survive the process.
 	OwnTentative []core.Req
 	Outbound     []core.Req
+
+	// Parked is the guarantee-gated invocations waiting on coverage. Each
+	// was acknowledged to the controller when it parked, and lives nowhere
+	// else until it completes.
+	Parked []parkedInvoke
 
 	// EvBase/EvLog are the controller event journal: the observation
 	// stream suffix the controller has not yet acknowledged applying.
@@ -77,6 +84,7 @@ type fingerprint struct {
 	awaitStable int
 	ownTent     int
 	outbound    int
+	parked      int
 	commitNo    int64
 	logBase     int64
 	// evSeq is the cumulative event count (evBase + journal length): any
@@ -114,6 +122,7 @@ func (r *remoteNode) persist(n *node) {
 		awaitStable: len(snap.AwaitStable),
 		ownTent:     len(ownTent),
 		outbound:    len(r.outbound),
+		parked:      len(n.parked),
 		commitNo:    n.commitNo,
 		logBase:     n.logBase,
 		evSeq:       evBase + int64(len(evLog)),
@@ -127,6 +136,7 @@ func (r *remoteNode) persist(n *node) {
 		LogBase:      n.logBase,
 		CommitLog:    n.commitLog,
 		OwnTentative: ownTent,
+		Parked:       n.parked,
 		EvBase:       evBase,
 		EvLog:        evLog,
 	}
@@ -205,6 +215,7 @@ func (n *node) bootRestore(img NodeImage) {
 	n.replica = restored
 	n.held = make(map[int64]core.Req)
 	n.nextCommit = int64(img.Snap.CommittedLen()) + 1
+	n.parked = img.Parked // retried by bootAnnounce's settleLocal
 	if n.id == 0 {
 		n.commitNo = img.CommitNo
 		n.logBase = img.LogBase

@@ -215,3 +215,19 @@ func scriptCrashWithPendingContinuation(t *testing.T, c *Controller) {
 		t.Errorf("recovered strong response = %+v, want committed 3", resp)
 	}
 }
+
+// A node process keeps the newest fault view it was pushed: a controller's
+// reconnect re-send can arrive after a later heal, and must not partition
+// the node again.
+func TestNodeIgnoresOlderFaultView(t *testing.T) {
+	r := &remoteNode{cfg: NodeConfig{ID: 1}, cells: make([]int, 3), down: make([]bool, 3)}
+	r.applyFaultView(7, []int{0, 0, 0}, []bool{false, false, false}) // the heal
+	r.applyFaultView(6, []int{1, 0, 1}, []bool{false, false, false}) // the stale re-send
+	if r.cells[0] != r.cells[1] {
+		t.Fatalf("an older view re-partitioned the node: cells %v", r.cells)
+	}
+	r.applyFaultView(8, []int{1, 0, 1}, []bool{false, false, true})
+	if r.cells[0] == r.cells[1] || !r.down[2] {
+		t.Fatalf("a newer view was ignored: cells %v down %v", r.cells, r.down)
+	}
+}

@@ -33,6 +33,7 @@ package livenet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,6 +146,10 @@ type host interface {
 	// drained: the in-process host signals quiescence watchers, the remote
 	// host flushes coalesced peer envelopes.
 	endBurst()
+	// persistBeforeSend makes the node's state durable now, counting tob
+	// (TOB casts not yet sent) as outbound: the remote host saves its
+	// image; the in-process fabric has no stable storage.
+	persistBeforeSend(tob []core.Req)
 }
 
 // Config parametrizes an in-process live deployment.
@@ -251,22 +256,26 @@ type node struct {
 	// parked holds guarantee-gated invocations waiting for this replica's
 	// state to cover their session vectors; each burst retries them after
 	// draining. Parked entries survive a crash (they are client-side
-	// continuations, not replica state) and retry after recovery.
+	// continuations, not replica state) and retry after recovery — in a
+	// node process through NodeImage, since the caller was already told
+	// the invocation was accepted.
 	parked []parkedInvoke
 }
 
 // parkedInvoke is one invocation blocked on a coverage gate, carrying the
-// session's frozen demand vectors and lease gate (see message).
+// session's frozen demand vectors and lease gate (see message). The
+// exported fields are what NodeImage persists; the call pointer is
+// in-process only (a node process's is always nil).
 type parkedInvoke struct {
-	sess     core.SessionID
-	op       spec.Op
-	level    core.Level
+	Sess     core.SessionID
+	Op       spec.Op
+	Level    core.Level
 	call     *record.Call
-	read     core.Vec
-	write    core.Vec
-	fence    int64
-	castOK   bool
-	castCeil int64
+	Read     core.Vec
+	Write    core.Vec
+	Fence    int64
+	CastOK   bool
+	CastCeil int64
 }
 
 func (n *node) takeEff() *core.Effects { return n.effPool.Take() }
@@ -365,6 +374,10 @@ func (f *fabric) endBurst() {
 	f.progMu.Unlock()
 	close(ch)
 }
+
+// persistBeforeSend implements host: in-process state is never persisted
+// (the crash model keeps node.snap in memory).
+func (f *fabric) persistBeforeSend([]core.Req) {}
 
 // progress implements carrier with the channel the next endBurst will
 // close: convergence is event-driven, no polling.
@@ -535,7 +548,7 @@ func (n *node) settleLocal() {
 // frozen when the invocation was submitted — the session has been busy
 // since, so they cannot have moved.
 func (n *node) covers(pi parkedInvoke) bool {
-	return n.replica.CoversInvoke(pi.level, !pi.op.ReadOnly(), pi.read, pi.write)
+	return n.replica.CoversInvoke(pi.Level, !pi.Op.ReadOnly(), pi.Read, pi.Write)
 }
 
 // tryLeaseRead serves a strong read-only invocation locally on the
@@ -550,15 +563,15 @@ func (n *node) covers(pi parkedInvoke) bool {
 // appear underneath it. It reports false to fall through to the normal
 // forward path.
 func (n *node) tryLeaseRead(pi parkedInvoke) bool {
-	if !n.lease || pi.level != core.Strong || !pi.op.ReadOnly() || n.id != 0 || n.down {
+	if !n.lease || pi.Level != core.Strong || !pi.Op.ReadOnly() || n.id != 0 || n.down {
 		return false
 	}
-	if !pi.castOK || pi.castCeil > int64(n.replica.CommittedLen()) {
+	if !pi.CastOK || pi.CastCeil > int64(n.replica.CommittedLen()) {
 		return false
 	}
 	eff := n.takeEff()
 	defer n.putEff(eff)
-	req, ok, err := n.replica.StrongReadLocal(pi.sess, pi.op, eff)
+	req, ok, err := n.replica.StrongReadLocal(pi.Sess, pi.Op, eff)
 	if err != nil {
 		panic(fmt.Sprintf("livenet: lease read on %d: %v", n.id, err))
 	}
@@ -566,7 +579,7 @@ func (n *node) tryLeaseRead(pi parkedInvoke) bool {
 		return false
 	}
 	leaseNo := int64(n.replica.CommittedLen())
-	n.h.observe(obsEvent{kind: obsComplete, call: pi.call, sess: pi.sess, dot: req.Dot, ts: req.Timestamp})
+	n.h.observe(obsEvent{kind: obsComplete, call: pi.call, sess: pi.Sess, dot: req.Dot, ts: req.Timestamp})
 	n.h.observe(obsEvent{kind: obsLease, dot: req.Dot, no: leaseNo})
 	n.route(*eff)
 	return true
@@ -574,22 +587,28 @@ func (n *node) tryLeaseRead(pi parkedInvoke) bool {
 
 // complete accepts a gated invocation: the clock is fenced above the
 // session vectors, the replica invoked, and the pending call bound to its
-// minted dot.
-func (n *node) complete(pi parkedInvoke) {
-	n.replica.FenceClock(pi.fence)
+// minted dot. A parked invocation was acknowledged when it parked, so the
+// host makes its completion durable before any of its frames leave: a
+// crash before that save retries it from the persisted parked list, one
+// after it re-announces the minted request — never both.
+func (n *node) complete(pi parkedInvoke, parked bool) {
+	n.replica.FenceClock(pi.Fence)
 	if n.tryLeaseRead(pi) {
 		return
 	}
 	eff := n.takeEff()
-	req, err := n.replica.InvokeFrom(pi.sess, pi.op, pi.level == core.Strong, eff)
+	req, err := n.replica.InvokeFrom(pi.Sess, pi.Op, pi.Level == core.Strong, eff)
 	if err != nil {
 		n.putEff(eff)
 		panic(fmt.Sprintf("livenet: gated invoke on %d: %v", n.id, err))
 	}
 	n.h.observe(obsEvent{
-		kind: obsComplete, call: pi.call, sess: pi.sess,
+		kind: obsComplete, call: pi.call, sess: pi.Sess,
 		dot: req.Dot, ts: req.Timestamp, tob: len(eff.TOBCast) > 0,
 	})
+	if parked {
+		n.h.persistBeforeSend(eff.TOBCast)
+	}
 	n.route(*eff)
 	n.putEff(eff)
 }
@@ -601,16 +620,17 @@ func (n *node) retryParked() bool {
 		return false
 	}
 	progress := false
-	keep := n.parked[:0]
-	for _, pi := range n.parked {
-		if n.covers(pi) {
-			n.complete(pi)
-			progress = true
-		} else {
-			keep = append(keep, pi)
+	for i := 0; i < len(n.parked); {
+		pi := n.parked[i]
+		if !n.covers(pi) {
+			i++
+			continue
 		}
+		// Off the list first: the image complete persists must not hold it.
+		n.parked = slices.Delete(n.parked, i, i+1)
+		n.complete(pi, true)
+		progress = true
 	}
-	n.parked = keep
 	return progress
 }
 
@@ -879,16 +899,16 @@ func (n *node) process(m message) {
 			level = core.Strong
 		}
 		pi := parkedInvoke{
-			sess: m.sess, op: m.op, level: level, call: m.call,
-			read: m.read, write: m.write, fence: m.fence,
-			castOK: m.castOK, castCeil: m.castCeil,
+			Sess: m.sess, Op: m.op, Level: level, call: m.call,
+			Read: m.read, Write: m.write, Fence: m.fence,
+			CastOK: m.castOK, CastCeil: m.castCeil,
 		}
 		if m.gated {
 			// Guarantee-gated: the pending call already holds the session's
 			// busy mark; accept, park, or reject on coverage.
 			switch {
 			case n.covers(pi):
-				n.complete(pi)
+				n.complete(pi, false)
 				m.reply <- nil
 			case m.failFast:
 				n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})

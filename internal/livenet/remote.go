@@ -127,8 +127,9 @@ type remoteNode struct {
 	// dedup would then silently swallow fresh post-restart events.
 	evDurable int64 // guarded by evMu
 
-	// Fault view, as last broadcast by the controller.
+	// Fault view, as last broadcast by the controller, and its number.
 	partMu sync.Mutex
+	viewNo int64     // guarded by partMu
 	cells  []int     // guarded by partMu
 	down   []bool    // guarded by partMu
 	held   []heldEnv // guarded by partMu
@@ -413,7 +414,7 @@ func (r *remoteNode) serveController(conn *wire.Conn) {
 		case wire.KindRecover:
 			go r.serveSubmit(conn, env.Seq, message{kind: msgRecover})
 		case wire.KindFaultView:
-			r.applyFaultView(env.Cells, env.Down)
+			r.applyFaultView(env.Int, env.Cells, env.Down)
 			r.reply(conn, &wire.Envelope{Kind: wire.KindReply, Seq: env.Seq})
 		case wire.KindShutdown:
 			r.reply(conn, &wire.Envelope{Kind: wire.KindReply, Seq: env.Seq})
@@ -471,11 +472,17 @@ func (r *remoteNode) serveQuery(conn *wire.Conn, seq uint64, q query) {
 	}
 }
 
-// applyFaultView adopts a controller fault broadcast and releases parked
-// envelopes the new view reconnects (targets still down stay parked, like
-// the in-process fabric's faultView).
-func (r *remoteNode) applyFaultView(cells []int, down []bool) {
+// applyFaultView adopts a controller fault broadcast numbered no and
+// releases parked envelopes the new view reconnects (targets still down
+// stay parked, like the in-process fabric's faultView). A view older than
+// the one held is ignored: pushes can overtake each other.
+func (r *remoteNode) applyFaultView(no int64, cells []int, down []bool) {
 	r.partMu.Lock()
+	if no < r.viewNo {
+		r.partMu.Unlock()
+		return
+	}
+	r.viewNo = no
 	if len(cells) == len(r.cells) {
 		copy(r.cells, cells)
 	}
@@ -634,6 +641,16 @@ func (r *remoteNode) ackEvents(ack int64) {
 func (r *remoteNode) endBurst() {
 	r.persist(r.nd)
 	r.flushEvents()
+}
+
+// persistBeforeSend implements host: the casts are recorded as outbound
+// (as sendPeer will) and the image saved before the frames carrying them
+// are sent. Runs on the node goroutine.
+func (r *remoteNode) persistBeforeSend(tob []core.Req) {
+	for _, rq := range tob {
+		r.outbound[rq.ID()] = rq
+	}
+	r.persist(r.nd)
 }
 
 // flushEvents sends the journal's unsent suffix to the controller,

@@ -12,6 +12,13 @@
 // message. Checkpoint images (core.CheckpointRecord) ride in state-transfer
 // envelopes as the bootstrap and lagging-learner catch-up payload.
 //
+// Each connection is one gob stream: a type descriptor crosses it once, in
+// the first frame that needs it, so a reader can only start at the
+// beginning of a connection — and every reconnect is a new connection. A
+// frame lost from the middle of a stream may have introduced a type later
+// frames use; the receiver then reports ErrCorrupt and the connection is
+// redialed, which costs no more than any other loss below.
+//
 // Delivery is at-least-once: a link that reconnects may have lost the
 // frame in flight, and the resync handshake (KindResync after recovery or
 // bootstrap) refetches anything missed — every receiver path dedups (RB
@@ -21,6 +28,7 @@ package wire
 
 import (
 	"encoding/gob"
+	"reflect"
 
 	"bayou/internal/core"
 	"bayou/internal/spec"
@@ -124,7 +132,8 @@ type Envelope struct {
 	Bool  bool
 	Stats core.Stats
 
-	// Fault-view payload (KindFaultView).
+	// Fault-view payload (KindFaultView); Int numbers the view, and a node
+	// ignores one older than the view it holds.
 	Cells []int
 	Down  []bool
 
@@ -168,6 +177,22 @@ type Event struct {
 	Trans core.Transition
 }
 
+// concreteTypes maps the name each concrete type is registered under to
+// the type, for the guard to follow interface values as the decoder does.
+var concreteTypes = map[string]reflect.Type{}
+
+// register registers v's type with gob under the name gob.Register would
+// choose, and records it in concreteTypes.
+func register(v any) {
+	t := reflect.TypeOf(v)
+	name := t.String()
+	if t.Name() != "" && t.PkgPath() != "" {
+		name = t.PkgPath() + "." + t.Name()
+	}
+	gob.RegisterName(name, v)
+	concreteTypes[name] = t
+}
+
 // gob encodes interface-typed fields (spec.Op, spec.Value) only for
 // registered concrete types; every operation of the spec catalog and every
 // value shape the state objects produce registers here, once, for both
@@ -195,13 +220,13 @@ func init() {
 		// above, already registered.
 		txn.Txn{},
 	} {
-		gob.Register(op)
+		register(op)
 	}
 	for _, v := range []spec.Value{
 		int(0), int64(0), float64(0), "", false,
 		[]spec.Value(nil), map[string]spec.Value(nil),
 		[]string(nil), map[string]bool(nil), map[string]int64(nil),
 	} {
-		gob.Register(v)
+		register(v)
 	}
 }

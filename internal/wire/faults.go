@@ -14,9 +14,12 @@ import (
 // delaying, reordering, bit-flipping, or truncating (with a mid-frame
 // connection reset) outbound frames. All corruption is *detectable* — the
 // per-frame CRC32C turns a flipped bit into a torn connection, never a
-// misdecoded envelope — and all loss is *repairable* by the resync
-// handshake and the anti-entropy tick, so a chaos deployment converges
-// through the same machinery a lossy real network would exercise.
+// misdecoded envelope, and a dropped, duplicated or reordered frame that
+// introduced a type to the connection's gob stream makes the receiver's
+// next decode fail the same way (ErrCorrupt) — and all loss is
+// *repairable* by the resync handshake and the anti-entropy tick, in the
+// second case after a redial, so a chaos deployment converges through the
+// same machinery a lossy real network would exercise.
 //
 // Probabilities are per frame, in [0,1]; they are evaluated in the order
 // drop, reorder, flip, truncate, dup (first hit wins), and delay composes

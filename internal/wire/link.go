@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -17,7 +18,9 @@ import (
 // A Send that hits a broken connection tears it down and retries once on a
 // fresh one; the frame in flight when a connection died may or may not
 // have arrived (at-least-once overall — receivers dedup, and the resync
-// handshake refetches real gaps).
+// handshake refetches real gaps). An envelope that cannot be encoded fails
+// its Send without a redial: the connection it closed is replaced by the
+// next Send.
 type Link struct {
 	addr  string
 	hello Envelope
@@ -123,12 +126,16 @@ func (l *Link) Send(env *Envelope) error {
 			return err
 		}
 	}
-	if err := l.conn.Send(env); err == nil {
+	err := l.conn.Send(env)
+	if err == nil {
 		return nil
 	}
-	// The connection broke underneath us; one fresh attempt.
-	l.conn.Close()
+	// The failed Send closed the connection; the next Send dials afresh.
 	l.conn = nil
+	if errors.Is(err, errEncode) {
+		return err // the envelope is at fault, not the connection
+	}
+	// The connection broke underneath us; one fresh attempt.
 	if err := l.connectLocked(); err != nil {
 		return err
 	}

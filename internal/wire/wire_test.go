@@ -65,33 +65,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFramesAreSelfContained asserts a reader can decode consecutive
-// frames each with a fresh decoder state (self-contained frames are what
-// lets a reconnecting reader join at any frame boundary).
-func TestFramesAreSelfContained(t *testing.T) {
-	client, server := net.Pipe()
-	a, b := Wrap(client), Wrap(server)
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		for i := 0; i < 3; i++ {
-			if err := a.Send(&Envelope{Kind: KindResync, CommitNo: int64(i)}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		var in Envelope
-		if err := b.Recv(&in); err != nil {
-			t.Fatal(err)
-		}
-		if in.Kind != KindResync || in.CommitNo != int64(i) {
-			t.Fatalf("frame %d mangled: %+v", i, in)
-		}
-	}
-}
-
 // TestLinkDialsThroughBackoff starts a Send before the listener exists:
 // the link must keep re-dialing and deliver once the peer comes up — the
 // arbitrary-start-order case of a multi-process deployment.
