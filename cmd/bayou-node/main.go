@@ -33,7 +33,7 @@ func main() {
 	variant := flag.String("variant", "modified", "protocol variant: original | modified")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint once this many commits accumulate past the last one (0: manual only)")
 	lease := flag.Bool("lease", false, "serve strong read-only operations locally on the sequencer (leader lease)")
-	dataDir := flag.String("data-dir", "", "directory for durable snapshots; empty runs the node volatile (recovery by peer rescue only)")
+	dataDir := flag.String("data-dir", "", "directory for the durable log; empty runs the node volatile (recovery by peer rescue only)")
 	seed := flag.Int64("seed", 0, "seed for this node's randomized behavior (dial jitter, fault injection)")
 	chaos := flag.String("chaos", "", "wire fault-injection spec, e.g. drop=0.02,dup=0.02,reorder=0.02,flip=0.01,trunc=0.005,delay=0.05,delaymax=5ms (testing only)")
 	flag.Parse()

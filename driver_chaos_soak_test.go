@@ -17,7 +17,7 @@ import (
 )
 
 // The process-level chaos soak: seeded schedules of SIGKILL+restart,
-// SIGSTOP/SIGCONT, torn snapshot files, partitions and wire-level frame
+// SIGSTOP/SIGCONT, torn log files, partitions and wire-level frame
 // faults (drop/duplicate/reorder/bit-flip/truncate/delay) against replicas
 // that are separate OS processes with durable data dirs — interleaved with
 // weak, strong and transactional traffic and a guarantee-carrying mobile
@@ -29,9 +29,9 @@ import (
 //
 // What distinguishes this from TestSocketFaultSoak: there the faults are
 // protocol-level (the node is told to drop state), here they are operating
-// on the process and the wire — kill -9 mid-burst, truncated snapshot
-// files, frames corrupted in flight — and recovery must come from the
-// store layer's generation ladder plus the boot re-announcement, not from
+// on the process and the wire — kill -9 mid-burst, truncated log files,
+// frames corrupted in flight — and recovery must come from the store
+// layer's recovery ladder plus the boot re-announcement, not from
 // a cooperating peer protocol.
 
 // newChaosCluster spawns a durable subprocess deployment with the given
@@ -76,7 +76,7 @@ func remote(t *testing.T, c *Cluster) *livenet.Controller {
 
 // TestDriverSocketDurableRestart is the focused recovery check: a node is
 // SIGKILLed (no drain, no final save) and restarted on its data dir, and
-// must come back from its own disk — snapshot load, zero peer state
+// must come back from its own disk — log replay, zero peer state
 // transfers — with the committed prefix intact and the deployment still
 // converging.
 func TestDriverSocketDurableRestart(t *testing.T) {
@@ -121,7 +121,7 @@ func TestDriverSocketDurableRestart(t *testing.T) {
 		t.Fatalf("durability(2) after restart: %v", err)
 	}
 	if !after.Loaded {
-		t.Errorf("restarted node did not load a snapshot: %+v", after)
+		t.Errorf("restarted node did not replay its log: %+v", after)
 	}
 	if after.Gen == 0 {
 		t.Errorf("restarted node loaded generation 0: %+v", after)
@@ -441,7 +441,7 @@ func chaosSoakRun(t *testing.T, seed int64) {
 			}
 			killed = r
 			act("SIGKILL %d", r)
-		case 12, 13: // restart the killed node, sometimes tearing its newest snapshot first
+		case 12, 13: // restart the killed node, sometimes tearing copy A of its newest log segment first
 			if killed < 0 {
 				continue
 			}
@@ -452,12 +452,20 @@ func chaosSoakRun(t *testing.T, seed int64) {
 						if err := os.Truncate(path, cut); err != nil {
 							fail("tearing %s at %d: %v", path, cut, err)
 						}
-						act("tear newest snapshot of %d at offset %d/%d", killed, cut, fi.Size())
+						act("tear newest log segment of %d at offset %d/%d", killed, cut, fi.Size())
 					}
 				}
 			}
 			if err := d.Restart(killed); err != nil {
 				fail("restart %d: %v", killed, err)
+			}
+			// Wait for the new process to serve. Until the controller's read
+			// loop sees the old stream end, an invocation can still be
+			// written to the dead process and fail as "stream lost", an
+			// ambiguous outcome no retry may paper over. The probe is a
+			// query, which retries on stream loss.
+			if _, err := remote(t, c).Durability(killed, liveTimeout); err != nil {
+				fail("restarted %d never served: %v", killed, err)
 			}
 			act("restart %d", killed)
 			killed = -1

@@ -72,7 +72,7 @@ func (w *Witness) SessionRYW() Result {
 			if x == e || x.IsReadOnly() || !w.H.SessionOrder(x, e) {
 				continue
 			}
-			if !w.traces[e.ID][x.Dot] {
+			if !w.inTrace(e, x.Dot) {
 				return Result{Predicate: "RYW(sessions)", Holds: false,
 					Detail: fmt.Sprintf("%s (%s) did not observe own session's earlier %s (%s)", e.Dot, e.Op.Name(), x.Dot, x.Op.Name())}
 			}
@@ -99,7 +99,7 @@ func (w *Witness) SessionMR() Result {
 				if x == e || x.IsReadOnly() {
 					continue
 				}
-				if w.traces[earlier.ID][x.Dot] && !w.traces[e.ID][x.Dot] {
+				if w.inTrace(earlier, x.Dot) && !w.inTrace(e, x.Dot) {
 					return Result{Predicate: "MR(sessions)", Holds: false,
 						Detail: fmt.Sprintf("%s observed %s but the later %s lost it", earlier.Dot, x.Dot, e.Dot)}
 				}
@@ -128,14 +128,14 @@ func (w *Witness) SessionMW() Result {
 					Detail: fmt.Sprintf("arbitration orders %s before the session-earlier %s", w2.Dot, w1.Dot)}
 			}
 			for _, e := range w.H.Events {
-				if e.Pending || e.Session != w2.Session || !w.traces[e.ID][w2.Dot] {
+				if e.Pending || e.Session != w2.Session || !w.inTrace(e, w2.Dot) {
 					continue
 				}
-				if !w.traces[e.ID][w1.Dot] {
+				if !w.inTrace(e, w1.Dot) {
 					return Result{Predicate: "MW(sessions)", Holds: false,
 						Detail: fmt.Sprintf("%s perceived %s without the session-earlier %s", e.Dot, w2.Dot, w1.Dot)}
 				}
-				if tracePos(e.Trace, w1.Dot) > tracePos(e.Trace, w2.Dot) {
+				if w.tracePos(e, w1.Dot) > w.tracePos(e, w2.Dot) {
 					return Result{Predicate: "MW(sessions)", Holds: false,
 						Detail: fmt.Sprintf("%s perceived %s before the session-earlier %s", e.Dot, w2.Dot, w1.Dot)}
 				}
@@ -169,14 +169,14 @@ func (w *Witness) SessionWFR() Result {
 						Detail: fmt.Sprintf("arbitration orders %s before %s, which %s's session had read first", v.Dot, x.Dot, v.Dot)}
 				}
 				for _, e := range w.H.Events {
-					if e.Pending || e.Session != v.Session || !w.traces[e.ID][v.Dot] {
+					if e.Pending || e.Session != v.Session || !w.inTrace(e, v.Dot) {
 						continue
 					}
-					if !w.traces[e.ID][x.Dot] {
+					if !w.inTrace(e, x.Dot) {
 						return Result{Predicate: "WFR(sessions)", Holds: false,
 							Detail: fmt.Sprintf("%s perceived %s without %s, which the session had read before writing it", e.Dot, v.Dot, x.Dot)}
 					}
-					if tracePos(e.Trace, x.Dot) > tracePos(e.Trace, v.Dot) {
+					if w.tracePos(e, x.Dot) > w.tracePos(e, v.Dot) {
 						return Result{Predicate: "WFR(sessions)", Holds: false,
 							Detail: fmt.Sprintf("%s perceived %s before %s, which the session had read first", e.Dot, v.Dot, x.Dot)}
 					}
@@ -204,7 +204,7 @@ func (w *Witness) Coverage() Result {
 				Detail: fmt.Sprintf("%s answered from committed prefix %d, demand watermark %d", e.Dot, e.CommittedLen, e.ReadVec.CommitLen)}
 		}
 		for _, d := range e.ReadVec.Frontier {
-			if !w.traces[e.ID][d] {
+			if !w.inTrace(e, d) {
 				return Result{Predicate: "Coverage", Holds: false,
 					Detail: fmt.Sprintf("%s answered without demanded %s in its trace", e.Dot, d)}
 			}

@@ -36,9 +36,8 @@ func (w *Witness) EV() Result {
 
 // NCC checks no-circular-causality: hb = (so ∪ vis)⁺ is acyclic (§4).
 func (w *Witness) NCC() Result {
-	hbBase := w.so.Union(w.vis)
-	ok, cycle := hbBase.Acyclic()
-	if ok {
+	cycle := w.hbGraph().cycle()
+	if cycle == nil {
 		return Result{Predicate: "NCC", Holds: true}
 	}
 	names := make([]string, 0, len(cycle))
@@ -219,7 +218,7 @@ func (w *Witness) MonotonicReads() Result {
 				if x == e || x.IsReadOnly() {
 					continue
 				}
-				if w.traces[earlier.ID][x.Dot] && !w.traces[e.ID][x.Dot] {
+				if w.inTrace(earlier, x.Dot) && !w.inTrace(e, x.Dot) {
 					return Result{Predicate: "MonotonicReads", Holds: false,
 						Detail: fmt.Sprintf("%s observed %s but the later %s lost it", earlier.Dot, x.Dot, e.Dot)}
 				}
@@ -243,14 +242,14 @@ func (w *Witness) MonotonicWrites() Result {
 				continue
 			}
 			for _, e := range w.H.Events {
-				if e.Pending || !w.traces[e.ID][w2.Dot] {
+				if e.Pending || !w.inTrace(e, w2.Dot) {
 					continue
 				}
-				if !w.traces[e.ID][w1.Dot] {
+				if !w.inTrace(e, w1.Dot) {
 					return Result{Predicate: "MonotonicWrites", Holds: false,
 						Detail: fmt.Sprintf("%s observed %s without the session-earlier %s", e.Dot, w2.Dot, w1.Dot)}
 				}
-				if tracePos(e.Trace, w1.Dot) > tracePos(e.Trace, w2.Dot) {
+				if w.tracePos(e, w1.Dot) > w.tracePos(e, w2.Dot) {
 					return Result{Predicate: "MonotonicWrites", Holds: false,
 						Detail: fmt.Sprintf("%s observed %s before the session-earlier %s", e.Dot, w2.Dot, w1.Dot)}
 				}
@@ -275,18 +274,18 @@ func (w *Witness) WritesFollowReads() Result {
 				continue
 			}
 			for _, x := range w.H.Events {
-				if x == v || x.IsReadOnly() || !w.traces[r.ID][x.Dot] {
+				if x == v || x.IsReadOnly() || !w.inTrace(r, x.Dot) {
 					continue
 				}
 				for _, e := range w.H.Events {
-					if e.Pending || !w.traces[e.ID][v.Dot] {
+					if e.Pending || !w.inTrace(e, v.Dot) {
 						continue
 					}
-					if !w.traces[e.ID][x.Dot] {
+					if !w.inTrace(e, x.Dot) {
 						return Result{Predicate: "WritesFollowReads", Holds: false,
 							Detail: fmt.Sprintf("%s observed %s but not %s, which %s's session had read", e.Dot, v.Dot, x.Dot, v.Dot)}
 					}
-					if tracePos(e.Trace, x.Dot) > tracePos(e.Trace, v.Dot) {
+					if w.tracePos(e, x.Dot) > w.tracePos(e, v.Dot) {
 						return Result{Predicate: "WritesFollowReads", Holds: false,
 							Detail: fmt.Sprintf("%s observed %s before %s, which %s's session had read first", e.Dot, v.Dot, x.Dot, v.Dot)}
 					}
@@ -295,16 +294,6 @@ func (w *Witness) WritesFollowReads() Result {
 		}
 	}
 	return Result{Predicate: "WritesFollowReads", Holds: true}
-}
-
-// tracePos returns the index of d in the trace, or -1.
-func tracePos(trace []core.Dot, d core.Dot) int {
-	for i, x := range trace {
-		if x == d {
-			return i
-		}
-	}
-	return -1
 }
 
 // CountReordered returns the number of events whose perceived context order
@@ -341,7 +330,7 @@ func (w *Witness) ReadYourWrites() Result {
 			if x == e || x.IsReadOnly() || !w.H.SessionOrder(x, e) {
 				continue
 			}
-			if !w.traces[e.ID][x.Dot] {
+			if !w.inTrace(e, x.Dot) {
 				return Result{Predicate: "ReadYourWrites", Holds: false,
 					Detail: fmt.Sprintf("%s (%s) did not observe own session's earlier %s (%s)", e.Dot, e.Op.Name(), x.Dot, x.Op.Name())}
 			}

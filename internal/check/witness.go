@@ -21,30 +21,65 @@ import (
 //   - par(e): the trace exec(e)·e itself — visible events are perceived in
 //     trace order, everything else relative to ar.
 type Witness struct {
-	H      *history.History
-	vis    *history.Rel
-	so     *history.Rel
-	traces map[history.EventID]map[core.Dot]bool
+	H *history.History
+
+	// Traces share the history's committed prefix (history.Event.Trace), so
+	// the witness indexes it once: commitPos is each committed dot's TOB
+	// position, prefixEv/prefixUpd are the committed events (all, and the
+	// updating ones) in commit order, and prefixN/prefixUpdN[k] count those
+	// among the first k commits. suffix[e] maps each dot of e.Trace to its
+	// index there.
+	commitPos  map[core.Dot]int
+	prefixEv   []*history.Event
+	prefixUpd  []*history.Event
+	prefixN    []int
+	prefixUpdN []int
+	suffix     []map[core.Dot]int
 }
 
 // NewWitness builds the abstract execution for a recorded history.
 func NewWitness(h *history.History) *Witness {
-	w := &Witness{H: h, traces: make(map[history.EventID]map[core.Dot]bool, len(h.Events))}
-	n := len(h.Events)
-	for _, e := range h.Events {
-		set := make(map[core.Dot]bool, len(e.Trace))
-		for _, d := range e.Trace {
-			set[d] = true
-		}
-		w.traces[e.ID] = set
+	w := &Witness{
+		H:          h,
+		commitPos:  make(map[core.Dot]int, len(h.Commits)),
+		prefixN:    make([]int, len(h.Commits)+1),
+		prefixUpdN: make([]int, len(h.Commits)+1),
+		suffix:     make([]map[core.Dot]int, len(h.Events)),
 	}
-	w.vis = history.FromLess(n, func(a, b history.EventID) bool {
-		return w.Vis(h.Events[a], h.Events[b])
-	})
-	w.so = history.FromLess(n, func(a, b history.EventID) bool {
-		return h.SessionOrder(h.Events[a], h.Events[b])
-	})
+	for i, d := range h.Commits {
+		w.commitPos[d] = i + 1
+		if x := h.ByDot(d); x != nil {
+			w.prefixEv = append(w.prefixEv, x)
+			if !x.IsReadOnly() {
+				w.prefixUpd = append(w.prefixUpd, x)
+			}
+		}
+		w.prefixN[i+1], w.prefixUpdN[i+1] = len(w.prefixEv), len(w.prefixUpd)
+	}
+	for _, e := range h.Events {
+		set := make(map[core.Dot]int, len(e.Trace))
+		for i, d := range e.Trace {
+			set[d] = i
+		}
+		w.suffix[e.ID] = set
+	}
 	return w
+}
+
+// inTrace reports whether d occurs in exec(e).
+func (w *Witness) inTrace(e *history.Event, d core.Dot) bool {
+	return w.tracePos(e, d) >= 0
+}
+
+// tracePos returns the index of d in exec(e), or -1.
+func (w *Witness) tracePos(e *history.Event, d core.Dot) int {
+	if p := w.commitPos[d]; p > 0 && p <= e.TraceBase {
+		return p - 1
+	}
+	if i, ok := w.suffix[e.ID][d]; ok {
+		return e.TraceBase + i
+	}
+	return -1
 }
 
 // delivered reports whether the event's request was TOB-delivered within the
@@ -113,14 +148,8 @@ func (w *Witness) Vis(a, b *history.Event) bool {
 		// order — the formal completeness rule of the proof.
 		return history.ReqLess(a, b)
 	}
-	return w.traces[b.ID][a.Dot]
+	return w.inTrace(b, a.Dot)
 }
-
-// VisRel returns the materialized vis relation.
-func (w *Witness) VisRel() *history.Rel { return w.vis }
-
-// SoRel returns the materialized session-order relation.
-func (w *Witness) SoRel() *history.Rel { return w.so }
 
 // ArRel materializes the arbitration relation (diagnostics; predicates use
 // the comparator directly).
@@ -143,23 +172,24 @@ func (w *Witness) ArTotal() Result {
 
 // traceEvents maps e's exec(e) trace to history events (in trace order),
 // dropping dots that are not part of the history (none, for complete
-// recordings).
+// recordings). The result may share the committed prefix with other
+// events' traces: callers must not write to it.
 func (w *Witness) traceEvents(e *history.Event) []*history.Event {
-	out := make([]*history.Event, 0, len(e.Trace))
-	for _, d := range e.Trace {
-		if x := w.H.ByDot(d); x != nil {
-			out = append(out, x)
-		}
-	}
-	return out
+	return w.suffixEvents(w.prefixEv[:w.prefixN[e.TraceBase]:w.prefixN[e.TraceBase]], e, false)
 }
 
 // updatingTrace restricts the trace to updating (non-read-only) events — the
-// operation context after applying the read-only axiom of §3.4.
+// operation context after applying the read-only axiom of §3.4. Shared like
+// traceEvents.
 func (w *Witness) updatingTrace(e *history.Event) []*history.Event {
-	var out []*history.Event
-	for _, x := range w.traceEvents(e) {
-		if !x.IsReadOnly() {
+	return w.suffixEvents(w.prefixUpd[:w.prefixUpdN[e.TraceBase]:w.prefixUpdN[e.TraceBase]], e, true)
+}
+
+// suffixEvents appends the history events of e.Trace to out, only the
+// updating ones if updating is set.
+func (w *Witness) suffixEvents(out []*history.Event, e *history.Event, updating bool) []*history.Event {
+	for _, d := range e.Trace {
+		if x := w.H.ByDot(d); x != nil && !(updating && x.IsReadOnly()) {
 			out = append(out, x)
 		}
 	}

@@ -48,13 +48,12 @@ type Event struct {
 	Timestamp int64
 	TOBCast   bool
 	TOBNo     int64 // 1-based delivery position; -1 if never TOB-delivered
-	Trace     []core.Dot
-	// TraceBase is recorder-internal bookkeeping: while a run is live, Trace
-	// may hold only the suffix of exec(e) past the responding replica's
-	// checkpoint, with TraceBase counting the implicit committed-prefix
-	// entries (commit positions 1..TraceBase, in commit order). The recorder
-	// materializes the absolute trace — and zeroes this field — when it
-	// assembles the History, so checkers always see full traces.
+	// Trace is exec(e) past its first TraceBase entries, which are the
+	// committed prefix the responding replica had checkpointed: exec(e) is
+	// History.Commits[:TraceBase] followed by Trace (History.Trace). Events
+	// share that prefix instead of each holding a copy, so a long run's
+	// history stays linear in its length.
+	Trace        []core.Dot
 	TraceBase    int
 	CommittedLen int
 
@@ -87,6 +86,9 @@ type History struct {
 	// after StableAt act as the probes against which EV and CPar are
 	// checked. Zero means "treat every event as a probe".
 	StableAt int64
+	// Commits is the commit order (Commits[i] committed at TOB position
+	// i+1), at least as long as every event's TraceBase.
+	Commits []core.Dot
 
 	byDot map[core.Dot]*Event
 }
@@ -127,6 +129,14 @@ func (h *History) validate() error {
 		}
 	}
 	return nil
+}
+
+// Trace returns exec(e) whole: the shared committed prefix, then e.Trace.
+func (h *History) Trace(e *Event) []core.Dot {
+	if e.TraceBase == 0 {
+		return e.Trace
+	}
+	return append(h.Commits[:e.TraceBase:e.TraceBase], e.Trace...)
 }
 
 // ByDot returns the event with the given dot, or nil.

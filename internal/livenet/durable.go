@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"fmt"
-	"os"
 
 	"bayou/internal/core"
 	"bayou/internal/store"
@@ -29,8 +28,8 @@ import (
 // guarantee-gated invocations parked on coverage: the controller was told
 // each was accepted, and nothing outside this process knows of it.
 
-// NodeImage is one process's durable state, gob-encoded into a store
-// generation.
+// NodeImage is one process's durable state. A log segment's base record is
+// a whole NodeImage, every later record a delta NodeImage (logImage, apply).
 type NodeImage struct {
 	// Snap is the replica's durable image: committed prefix, checkpoint
 	// base, dot counter, clock watermark, owed responses.
@@ -76,10 +75,12 @@ const dotSkipMargin = 4 * maxBurst
 
 // fingerprint summarizes the durable state cheaply; persistence is skipped
 // while it is unchanged, so idle bursts (probes, reads, redundant
-// deliveries) cost no fsync.
+// deliveries) cost no log append. The last record's fingerprint also says
+// where its append-only parts ended, for the next delta (logImage).
 type fingerprint struct {
+	base        *core.CheckpointRecord
+	committed   int // len(Snap.Committed), past base
 	eventNo     int64
-	committed   int
 	awaiting    int
 	awaitStable int
 	ownTent     int
@@ -88,80 +89,49 @@ type fingerprint struct {
 	commitNo    int64
 	logBase     int64
 	// evSeq is the cumulative event count (evBase + journal length): any
-	// newly emitted event forces a save before the flush externalizes it.
-	// Acks alone leave it unchanged — a skipped save then keeps already
-	// acked events in the image, which a restart harmlessly resends.
+	// newly emitted event forces an append before the flush externalizes
+	// it. Acks alone leave it unchanged — a skipped append then keeps
+	// already acked events in the image, which a restart harmlessly
+	// resends.
 	evSeq int64
 }
 
-// persist writes the node's durable image if it changed since the last
-// save. Runs on the node goroutine only (endBurst, the pre-reply sync, and
-// the post-shutdown final save after the goroutine has exited), so it reads
-// node state without locks. Save failures are logged and retried next
-// burst: losing durability degrades recovery to peer rescue, it does not
-// stop the node.
+// persist appends the node's durable image to the log if it changed since
+// the last record. Runs on the node goroutine only (endBurst, the pre-reply
+// sync, and the post-shutdown final save after the goroutine has exited),
+// so it reads node state without locks. A failed write stops the node
+// (failStop): the acknowledgements it gates must never leave.
 func (r *remoteNode) persist(n *node) {
-	if r.st == nil || n.down {
+	if r.st == nil || n.down || r.stopped() {
 		return
 	}
-	snap := n.replica.Snapshot()
-	var ownTent []core.Req
-	for _, t := range n.replica.Tentative() {
-		if t.Dot.Replica == n.id {
-			ownTent = append(ownTent, t)
-		}
-	}
-	r.evMu.Lock()
-	evBase := r.evBase
-	evLog := append([]wire.Event(nil), r.evLog...)
-	r.evMu.Unlock()
+	img := r.image(n)
 	fp := fingerprint{
-		eventNo:     snap.EventNo,
-		committed:   snap.CommittedLen(),
-		awaiting:    len(snap.Awaiting),
-		awaitStable: len(snap.AwaitStable),
-		ownTent:     len(ownTent),
-		outbound:    len(r.outbound),
-		parked:      len(n.parked),
-		commitNo:    n.commitNo,
-		logBase:     n.logBase,
-		evSeq:       evBase + int64(len(evLog)),
+		base:        img.Snap.Base,
+		committed:   len(img.Snap.Committed),
+		eventNo:     img.Snap.EventNo,
+		awaiting:    len(img.Snap.Awaiting),
+		awaitStable: len(img.Snap.AwaitStable),
+		ownTent:     len(img.OwnTentative),
+		outbound:    len(img.Outbound),
+		parked:      len(img.Parked),
+		commitNo:    img.CommitNo,
+		logBase:     img.LogBase,
+		evSeq:       img.EvBase + int64(len(img.EvLog)),
 	}
 	if fp == r.lastFP {
 		return
 	}
-	img := NodeImage{
-		Snap:         snap,
-		CommitNo:     n.commitNo,
-		LogBase:      n.logBase,
-		CommitLog:    n.commitLog,
-		OwnTentative: ownTent,
-		Parked:       n.parked,
-		EvBase:       evBase,
-		EvLog:        evLog,
+	if err := r.logImage(img, r.lastFP); err != nil {
+		r.failStop(fmt.Errorf("persist: %w", err))
+		return
 	}
-	for _, req := range r.outbound {
-		img.Outbound = append(img.Outbound, req)
-	}
-	// Twin save: the image lands in two consecutive generations before
-	// anything gated on this persist externalizes. A crash mid-save is
-	// already harmless (Save renames atomically, so a torn tmp never
-	// becomes a generation); the twin covers the harsher fault of a
-	// completed generation corrupting on disk afterwards — the fallback
-	// rung of the recovery ladder then lands on an identical image, so a
-	// single rotten file can never retract state the node acknowledged.
-	for twin := 0; twin < 2; twin++ {
-		if _, err := r.st.Save(img); err != nil {
-			fmt.Fprintf(os.Stderr, "bayou-node %d: persist: %v\n", r.cfg.ID, err)
-			return
-		}
-		r.saves.Add(1)
-	}
+	r.saves.Add(1)
 	r.lastFP = fp
-	// Both twins hold the journal through fp.evSeq, so those events may now
-	// be flushed: even if the newest generation is later torn, the fallback
-	// rung still restores a counter at or past everything the controller
-	// has applied.
+	// Both copies of the log hold the journal through fp.evSeq, so those
+	// events may now be flushed: even if one copy is later torn, the other
+	// still restores a counter at or past everything the controller has
+	// applied.
 	r.evMu.Lock()
 	if fp.evSeq > r.evDurable {
 		r.evDurable = fp.evSeq
@@ -169,9 +139,70 @@ func (r *remoteNode) persist(n *node) {
 	r.evMu.Unlock()
 }
 
+// image builds the node's durable image. It aliases the replica's
+// committed suffix, the commit log and the event journal rather than
+// copying them: the node goroutine, which persist runs on, is their only
+// appender, and an ack replaces the journal rather than trimming it in
+// place.
+func (r *remoteNode) image(n *node) NodeImage {
+	img := NodeImage{
+		Snap:      n.replica.Snapshot(),
+		CommitNo:  n.commitNo,
+		LogBase:   n.logBase,
+		CommitLog: n.commitLog,
+		Parked:    n.parked,
+	}
+	for _, t := range n.replica.Tentative() {
+		if t.Dot.Replica == n.id {
+			img.OwnTentative = append(img.OwnTentative, t)
+		}
+	}
+	for _, req := range r.outbound {
+		img.Outbound = append(img.Outbound, req)
+	}
+	r.evMu.Lock()
+	img.EvBase = r.evBase
+	img.EvLog = r.evLog[:len(r.evLog):len(r.evLog)]
+	r.evMu.Unlock()
+	return img
+}
+
+// logImage appends img to the log as a delta: a NodeImage holding only the
+// committed, commit-log and journal entries added since the last record,
+// every other field in full. A new checkpoint base, a trimmed commit log,
+// a log that shrank (boot restored an older image) or a full segment make
+// it a new segment's base instead: the whole image.
+func (r *remoteNode) logImage(img NodeImage, last fingerprint) error {
+	if r.st.NeedBase() || img.Snap.Base != last.base || len(img.Snap.Committed) < last.committed ||
+		img.LogBase != last.logBase || img.CommitNo < last.commitNo {
+		_, err := r.st.Save(img)
+		return err
+	}
+	d := img
+	d.Snap.Base = nil
+	d.Snap.Committed = img.Snap.Committed[last.committed:]
+	d.CommitLog = img.CommitLog[last.commitNo-img.LogBase:]
+	d.EvLog = img.EvLog[max(0, last.evSeq-img.EvBase):]
+	return r.st.Append(d)
+}
+
+// apply folds one delta record (logImage) into the image the records
+// before it rebuilt: the committed suffix and the commit log grow by the
+// record's entries, the journal drops what the record's EvBase acked and
+// grows by its events, and every other field takes the record's value.
+func (img *NodeImage) apply(d NodeImage) {
+	d.Snap.Base = img.Snap.Base
+	d.Snap.Committed = append(img.Snap.Committed, d.Snap.Committed...)
+	d.CommitLog = append(img.CommitLog, d.CommitLog...)
+	acked := min(int64(len(img.EvLog)), max(0, d.EvBase-img.EvBase))
+	d.EvLog = append(img.EvLog[acked:], d.EvLog...)
+	*img = d
+}
+
 // syncPersist runs one persist on the node goroutine and waits for it —
 // called before an RPC reply externalizes state, so anything the
-// controller has been told is on disk first.
+// controller has been told is on disk first (or the node has stopped, and
+// reply sends nothing).
 func (r *remoteNode) syncPersist() {
 	if r.st == nil {
 		return
@@ -184,16 +215,24 @@ func (r *remoteNode) syncPersist() {
 	}
 }
 
-// loadImage opens the data dir and loads the newest intact generation.
+// loadImage opens the data dir and rebuilds the newest durable image: the
+// newest intact segment's base with every intact record after it applied.
 // ok=false (nothing durable, or dir empty) means clean bootstrap: the node
 // starts fresh and catches up from peers like any late joiner.
 func loadImage(dir string) (*store.Store, NodeImage, int64, bool, error) {
-	st, err := store.Open(dir, 0) // 0: store.DefaultKeep generations
+	st, err := store.Open(dir, 0) // 0: store.DefaultKeep segments
 	if err != nil {
 		return nil, NodeImage{}, 0, false, err
 	}
 	var img NodeImage
-	gen, ok, err := st.Load(&img)
+	gen, ok, err := st.Replay(&img, func(decode func(any) error) error {
+		var d NodeImage
+		if err := decode(&d); err != nil {
+			return err
+		}
+		img.apply(d)
+		return nil
+	})
 	if err != nil {
 		return nil, NodeImage{}, 0, false, err
 	}

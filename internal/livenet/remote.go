@@ -43,10 +43,10 @@ type NodeConfig struct {
 	Addrs []string
 
 	// DataDir is the node's stable storage (empty: fully volatile, the
-	// pre-durability behavior). With a data dir the node persists its
-	// durable image once per dirty burst and before every invoke reply,
-	// and a restarted process restores from the newest intact generation
-	// instead of bootstrapping from peers.
+	// pre-durability behavior). With a data dir the node appends its
+	// durable image to a write-ahead log once per dirty burst and before
+	// every invoke reply, and a restarted process replays the log instead
+	// of bootstrapping from peers.
 	DataDir string
 
 	// Seed governs every stochastic choice this node makes (dial-backoff
@@ -139,8 +139,13 @@ type remoteNode struct {
 	// the pre-reply sync), sendPeer records forwards there, observe retires
 	// them there.
 	st       *store.Store
-	lastFP   fingerprint         // node-goroutine only
+	lastFP   fingerprint         // node-goroutine only; what the last record held
 	outbound map[string]core.Req // node-goroutine only; forwarded, not yet committed
+
+	// failed closes when a log write fails (failStop): from then on the
+	// node sends no reply and no peer frame, and ServeNode returns failErr.
+	failed  chan struct{}
+	failErr error // written once, before failed closes
 
 	// Recovery scorecard, served by the KindDurability RPC. loaded/loadedGen
 	// are written once before the node goroutine starts.
@@ -173,6 +178,7 @@ func ServeNode(cfg NodeConfig) error {
 	r := &remoteNode{
 		cfg:      cfg,
 		quit:     make(chan struct{}),
+		failed:   make(chan struct{}),
 		cells:    make([]int, n),
 		down:     make([]bool, n),
 		outbound: make(map[string]core.Req),
@@ -198,14 +204,8 @@ func ServeNode(cfg NodeConfig) error {
 		}
 		r.sendq = append(r.sendq, q)
 	}
-	for i := 0; i < n; i++ {
-		if i != cfg.ID {
-			go r.pumpPeer(i)
-		}
-	}
-
-	// Stable storage: load the newest intact generation before the node
-	// goroutine exists, so the restored state is never observed half-built.
+	// Stable storage: replay the log before the node goroutine exists, so
+	// the restored state is never observed half-built.
 	var img NodeImage
 	if cfg.DataDir == "" {
 		// Volatile node: no persist will ever run, so the flush gate must
@@ -218,6 +218,7 @@ func ServeNode(cfg NodeConfig) error {
 			return fmt.Errorf("livenet: node %d storage: %w", cfg.ID, err)
 		}
 		r.st = st
+		defer st.Close()
 		if ok {
 			img = loaded
 			r.loaded = true
@@ -241,12 +242,17 @@ func ServeNode(cfg NodeConfig) error {
 	if r.loaded {
 		r.nd.bootRestore(img)
 	}
+	for i := 0; i < n; i++ {
+		if i != cfg.ID {
+			go r.pumpPeer(i)
+		}
+	}
 
 	// Bootstrap, queued as the node's first message: re-announce what only
 	// this node's disk still knows, then ask every peer for retransmission
 	// from the restored commit cursor (1 on a fresh boot — the late-joiner
 	// handshake; past the durable prefix after a restore, so recovery is a
-	// snapshot load plus a delta, not a full state transfer).
+	// log replay plus a delta, not a full state transfer).
 	bootDone := make(chan struct{})
 	r.nd.inbox <- message{kind: msgInspect, inspect: func(nd *node) { nd.bootAnnounce(img) }, done: bootDone}
 
@@ -263,7 +269,10 @@ func ServeNode(cfg NodeConfig) error {
 	}()
 
 	go func() {
-		<-r.quit
+		select {
+		case <-r.quit:
+		case <-r.failed:
+		}
 		ln.Close() // unblocks Accept
 	}()
 	for {
@@ -278,6 +287,10 @@ func ServeNode(cfg NodeConfig) error {
 				// The node goroutine has exited, so the direct call is safe.
 				r.persist(r.nd)
 				return nil
+			case <-r.failed:
+				close(r.nd.stop)
+				wg.Wait()
+				return fmt.Errorf("livenet: node %d stopped: %w", cfg.ID, r.failErr)
 			default:
 				return fmt.Errorf("livenet: node %d accept: %w", cfg.ID, err)
 			}
@@ -507,8 +520,12 @@ func (r *remoteNode) applyFaultView(no int64, cells []int, down []bool) {
 
 // enqueue hands a frame to the peer's outbound pump without blocking; a
 // full queue (the peer has been unreachable long enough to back up
-// peerQueueCap frames) drops it like a dead link drops a datagram.
+// peerQueueCap frames) drops it like a dead link drops a datagram, and a
+// stopped node drops every frame.
 func (r *remoteNode) enqueue(to int, env wire.Envelope) {
+	if r.stopped() {
+		return
+	}
 	select {
 	case r.sendq[to] <- env:
 	default:
@@ -538,7 +555,7 @@ func (r *remoteNode) pumpPeer(to int) {
 				}
 				fmt.Fprintf(os.Stderr, "bayou-node %d: send to %d: %v (%d frames dropped)\n", r.cfg.ID, to, err, dropped)
 			}
-		case <-r.quit:
+		case <-r.nd.stop:
 			// Hang up, so the peer's reader of this connection returns
 			// even when the node is hosted in a longer-lived process.
 			r.links[to].Close()
@@ -692,10 +709,35 @@ func (r *remoteNode) flushLocked() {
 
 // reply flushes pending events, then sends an RPC reply — the order that
 // guarantees the controller has applied an invocation's completion before
-// the invoke returns.
+// the invoke returns. A stopped node replies nothing: the reply might
+// acknowledge state that reached no disk.
 func (r *remoteNode) reply(conn *wire.Conn, env *wire.Envelope) {
+	if r.stopped() {
+		return
+	}
 	r.flushEvents()
 	if err := conn.Send(env); err != nil {
 		fmt.Fprintf(os.Stderr, "bayou-node %d: reply: %v\n", r.cfg.ID, err)
+	}
+}
+
+// failStop stops the node after a failed log write. Retrying the write is
+// unsafe (after a failed fsync the kernel may have dropped the dirty pages
+// and report the next fsync clean), and stopping loses nothing the node
+// acknowledged: the next boot replays the last record both copies hold.
+// Called only by persist, which never runs once the node has stopped.
+func (r *remoteNode) failStop(err error) {
+	fmt.Fprintf(os.Stderr, "bayou-node %d: %v; stopping\n", r.cfg.ID, err)
+	r.failErr = err
+	close(r.failed)
+}
+
+// stopped reports whether failStop has run.
+func (r *remoteNode) stopped() bool {
+	select {
+	case <-r.failed:
+		return true
+	default:
+		return false
 	}
 }

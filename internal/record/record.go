@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"bayou/internal/core"
@@ -1075,20 +1076,18 @@ func (r *Recorder) History() (*history.History, error) {
 		} else {
 			e.TOBNo = -1
 		}
-		if e.TraceBase > 0 {
-			// Materialize the absolute exec(e): the truncated prefix is
-			// exactly the shared committed prefix 1..TraceBase, in commit
-			// order, which the responding replica had fully delivered (and
-			// this recorder indexed) before it answered.
-			full := make([]core.Dot, 0, e.TraceBase+len(e.Trace))
-			full = append(full, r.commitOrder[:e.TraceBase]...)
-			full = append(full, e.Trace...)
-			e.Trace = full
-			e.TraceBase = 0
-		}
 		events = append(events, &e)
 	}
 	stableAt := r.stableAt
+	// A truncated trace's prefix is exactly the shared committed prefix
+	// 1..TraceBase, which the responding replica had fully delivered (and
+	// this recorder indexed) before it answered; the history keeps it once.
+	commits := slices.Clone(r.commitOrder)
 	r.mu.Unlock()
-	return history.New(events, stableAt)
+	h, err := history.New(events, stableAt)
+	if err != nil {
+		return nil, err
+	}
+	h.Commits = commits
+	return h, nil
 }

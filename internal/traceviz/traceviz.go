@@ -82,7 +82,7 @@ func PerceivedOrder(h *history.History, d core.Dot) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "event %s (%s):\n  perceived: ", d, e.Op.Name())
-	for _, x := range e.Trace {
+	for _, x := range h.Trace(e) {
 		fmt.Fprintf(&b, "%s ", x)
 	}
 	fmt.Fprintf(&b, "\n  committed: ")

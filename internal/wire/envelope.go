@@ -156,9 +156,9 @@ type Envelope struct {
 
 // Durability is one node's recovery scorecard (KindDurability reply).
 type Durability struct {
-	Loaded    bool  // boot restored a local snapshot
-	Gen       int64 // generation loaded at boot (0 = none)
-	Saves     int64 // snapshots persisted since boot
+	Loaded    bool  // boot restored a local log
+	Gen       int64 // log segment loaded at boot (0 = none)
+	Saves     int64 // log appends since boot
 	XfersIn   int64 // peer checkpoint state transfers accepted since boot
 	Committed int64 // committed prefix length right now
 }

@@ -74,7 +74,7 @@ type Conn struct {
 	dec   *gob.Decoder // created by the first Recv; reads body only
 	body  bytes.Reader // the current frame's checksummed body
 	rbuf  []byte       // body buffer reused across frames, cap ≤ keepBody
-	guard guard        // mirrors dec's type table; walks each body first
+	guard Guard        // mirrors dec's type table; walks each body first
 	rerr  error        // first ErrCorrupt; every later Recv returns it
 
 	mu       sync.Mutex
@@ -239,7 +239,7 @@ func (c *Conn) recv(env *Envelope) error {
 	if got := crc32.Checksum(body, castagnoli); got != want {
 		return fmt.Errorf("%w: checksum %#x, want %#x", ErrCorrupt, got, want)
 	}
-	if err := c.guard.check(body); err != nil {
+	if err := c.guard.Check(body, envelopeType); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// The decoder reads through an io.ByteReader, so gob adds no buffering

@@ -5,8 +5,9 @@ import (
 	"reflect"
 )
 
-// guard walks each frame body the way the Conn's gob.Decoder is about to,
-// before it does. gob sizes its allocations by the counts the sender
+// Guard walks each message body of one gob stream the way the stream's
+// gob.Decoder is about to, before it does: a Conn's frames, or the records
+// of a store segment. gob sizes its allocations by the counts the sender
 // announces — a map takes its whole announced size up front, a slice or a
 // message buffer up to 10 MiB — so one checksummed-but-corrupt count (a
 // hostile peer, or a corruption CRC32C misses) could cost gigabytes. The
@@ -25,8 +26,9 @@ import (
 // the destination struct says which of the two readings the decoder takes.
 //
 // The guard keeps its own copy of the stream's type table, read from the
-// same definitions the decoder reads.
-type guard struct {
+// same definitions the decoder reads, so one Guard serves one stream from
+// its start. The zero value is ready to use.
+type Guard struct {
 	defs map[int64]*typeDef
 }
 
@@ -75,9 +77,10 @@ type typeDef struct {
 	goFields []reflect.Type
 }
 
-// check walks one frame body: type-definition messages, each filling its
-// message, then the message holding the Envelope.
-func (g *guard) check(body []byte) error {
+// Check walks one body: type-definition messages, each filling its
+// message, then the message holding the value, which decodes into Go type
+// root.
+func (g *Guard) Check(body []byte, root reflect.Type) error {
 	if g.defs == nil {
 		g.defs = make(map[int64]*typeDef)
 	}
@@ -85,7 +88,7 @@ func (g *guard) check(body []byte) error {
 	for w.message() {
 		id := w.int()
 		if id >= 0 {
-			w.structValue(id, envelopeType, 0)
+			w.structValue(id, root, 0)
 			break
 		}
 		if w.define(-id); len(w.cur) != 0 {
@@ -101,7 +104,7 @@ func (g *guard) check(body []byte) error {
 // walker is one pass over one body. The first failure empties it, so every
 // later read fails too and every loop ends.
 type walker struct {
-	g    *guard
+	g    *Guard
 	cur  []byte // unread rest of the gob message being decoded
 	rest []byte // the messages after it
 	bad  bool
@@ -159,20 +162,28 @@ func (w *walker) int() int64 {
 	return int64(x >> 1)
 }
 
-// count reads a length, which must not exceed the bytes left in the
-// message: every byte, element and entry it counts takes at least one.
+// count reads a length, which must not exceed the bytes left in the body:
+// every element and entry it counts takes at least one. Not necessarily in
+// this message, though: when a value nested in an interface introduces a
+// type, gob flushes the message it is building right after the type's
+// definition, and the value carries on in the next message (see iface).
 func (w *walker) count() int {
 	n := w.uint()
-	if n > uint64(len(w.cur)) {
+	if n > uint64(len(w.cur)+len(w.rest)) {
 		w.fail()
 		return 0
 	}
 	return int(n)
 }
 
-// bytes reads a length-prefixed string or byte slice.
+// bytes reads a length-prefixed string or byte slice, which gob never
+// splits across messages.
 func (w *walker) bytes() []byte {
 	n := w.count()
+	if n > len(w.cur) {
+		w.fail()
+		return nil
+	}
 	b := w.cur[:n]
 	w.cur = w.cur[n:]
 	return b

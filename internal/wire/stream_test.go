@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bayou/internal/core"
 	"bayou/internal/spec"
 )
 
@@ -88,6 +89,25 @@ func TestStreamCarriesEveryShape(t *testing.T) {
 		roundTrip(t, a, b, cc, env)
 		roundTrip(t, a, b, cc, env)
 	}
+}
+
+// A batch whose first request introduces its op's type makes gob flush the
+// message right after the type's definition, a few dozen bytes after the
+// batch's length, and carry the rest of the batch in the next message. The
+// guard must count the batch against the whole body, not that first
+// message: a fresh connection carrying this frame once rejected it, on
+// every redial.
+func TestStreamLongBatchIntroducingAType(t *testing.T) {
+	client, server := net.Pipe()
+	cc := &countingConn{Conn: client}
+	a, b := Wrap(cc), Wrap(server)
+	defer a.Close()
+	defer b.Close()
+	reqs := make([]core.Req, 200)
+	for i := range reqs {
+		reqs[i] = core.Req{Timestamp: int64(i + 1), Dot: core.Dot{Replica: 1, EventNo: int64(i)}, Op: spec.Inc("k", 1)}
+	}
+	roundTrip(t, a, b, cc, &Envelope{Kind: KindRBDeliver, From: 1, Reqs: reqs})
 }
 
 // Steady-state Send+Recv of the invoke shape allocates a bounded handful:
