@@ -3,121 +3,25 @@
 // vs. measured-result tables. It exits non-zero if any measured shape
 // deviates from the paper's claim.
 //
-// With -json it instead emits a machine-readable benchmark report on
-// stdout: one record per experiment and per protocol micro-benchmark, with
-// ns/op, allocs/op and bytes/op, so successive runs can be recorded as
-// BENCH_*.json trajectories and compared across PRs. Combining -json with
-// -only restricts the report to that single experiment record; the
-// micro-benchmark records are emitted only on unfiltered runs.
-//
-// With -compare it instead diffs two such reports: per-benchmark ns/op and
-// allocs/op deltas, exiting non-zero when any benchmark regressed beyond
-// -threshold percent — the guard CI runs against the previous push's
-// BENCH_<sha>.json artifact.
-//
-// With -socket it instead runs the multi-process benchmark: it spawns
-// -socket-nodes bayou-node processes, connects the façade to them over TCP
-// (WithPeers), and drives concurrent sessions of weak increments mixed
-// with strong reads, reporting aggregate ops/sec and the p99 per-operation
-// latency — printed, or as a "socket" BENCH JSON record with -json.
-//
 // Usage:
 //
-//	bayou-bench [-only E7] [-json]
-//	bayou-bench -socket [-socket-nodes 3] [-socket-ops 3000] [-json]
-//	bayou-bench -compare [-threshold 15] old.json new.json
+//	bayou-bench [-only E7]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
-	"testing"
-	"time"
 
 	"bayou/internal/experiments"
-	"bayou/internal/workload"
 )
-
-// benchRecord is one line of the -json report.
-type benchRecord struct {
-	Name        string  `json:"name"`
-	Kind        string  `json:"kind"` // "experiment" or "micro"
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	Ops         int64   `json:"ops"`
-	// Sessions is the number of concurrent client sessions the workload
-	// drives (1 for the single-client hot paths); successive BENCH_*.json
-	// snapshots can therefore track per-session throughput as this
-	// dimension grows.
-	Sessions int `json:"sessions"`
-	// Guarantees reports whether the workload's sessions carry session
-	// guarantees (ReadYourWrites|MonotonicReads): paired with the
-	// same-sessions plain record, it pins the coverage-gate overhead.
-	Guarantees bool `json:"guarantees"`
-	// OpsPerSec and P99Ns are reported by the multi-process socket mode
-	// (-socket): aggregate throughput and 99th-percentile per-operation
-	// latency over real TCP connections to bayou-node processes.
-	OpsPerSec float64 `json:"ops_per_sec,omitempty"`
-	P99Ns     float64 `json:"p99_ns,omitempty"`
-	OK        bool    `json:"ok"`
-}
 
 func main() {
 	log.SetFlags(0)
 	only := flag.String("only", "", "run a single experiment, e.g. E7")
-	asJSON := flag.Bool("json", false, "emit a machine-readable JSON benchmark report")
-	compare := flag.Bool("compare", false, "compare two -json reports: bayou-bench -compare old.json new.json")
-	threshold := flag.Float64("threshold", 15, "with -compare: fail on ns/op or allocs/op regressions beyond this percentage")
-	socket := flag.Bool("socket", false, "multi-process mode: spawn bayou-node processes and benchmark over real sockets (ops/sec + p99)")
-	socketNodes := flag.Int("socket-nodes", 3, "with -socket: deployment size")
-	socketOps := flag.Int("socket-ops", 3000, "with -socket: total operations across all sessions")
 	flag.Parse()
-
-	if *socket {
-		res, err := runSocketBench(*socketNodes, *socketOps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode([]benchRecord{res.record}); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		fmt.Printf("%s: %d ops in %.2fs — %.0f ops/sec, mean %s, p99 %s\n",
-			res.record.Name, res.record.Ops, res.elapsed.Seconds(),
-			res.record.OpsPerSec, time.Duration(res.record.NsPerOp), res.p99)
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("bayou-bench -compare: want exactly two report files (old.json new.json)")
-		}
-		regressed, err := compareReports(flag.Arg(0), flag.Arg(1), *threshold)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if regressed {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *asJSON {
-		if err := emitJSON(*only); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	failed := false
 	matched := false
@@ -143,301 +47,8 @@ func main() {
 	}
 }
 
-// compareReports diffs two -json reports benchmark-by-benchmark and prints a
-// delta table. It reports whether any benchmark present in both regressed —
-// ns/op or allocs/op grew — by more than threshold percent. Benchmarks only
-// in one report are listed as added/removed and never count as regressions.
-func compareReports(oldPath, newPath string, threshold float64) (bool, error) {
-	load := func(path string) (map[string]benchRecord, []string, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		var recs []benchRecord
-		if err := json.Unmarshal(data, &recs); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		byName := make(map[string]benchRecord, len(recs))
-		order := make([]string, 0, len(recs))
-		for _, r := range recs {
-			if _, dup := byName[r.Name]; !dup {
-				order = append(order, r.Name)
-			}
-			byName[r.Name] = r
-		}
-		return byName, order, nil
-	}
-	oldRecs, _, err := load(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newRecs, newOrder, err := load(newPath)
-	if err != nil {
-		return false, err
-	}
-
-	pct := func(oldV, newV float64) float64 {
-		if oldV == 0 {
-			if newV == 0 {
-				return 0
-			}
-			return 100
-		}
-		return (newV - oldV) / oldV * 100
-	}
-	regressed := false
-	fmt.Printf("%-40s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "Δns%", "Δallocs%")
-	for _, name := range newOrder {
-		n := newRecs[name]
-		o, ok := oldRecs[name]
-		if !ok {
-			fmt.Printf("%-40s %14s %14.0f %8s %10s  (added)\n", name, "-", n.NsPerOp, "-", "-")
-			continue
-		}
-		dns := pct(o.NsPerOp, n.NsPerOp)
-		dalloc := pct(o.AllocsPerOp, n.AllocsPerOp)
-		marker := ""
-		if dns > threshold || dalloc > threshold {
-			marker = "  REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("%-40s %14.0f %14.0f %+7.1f%% %+9.1f%%%s\n", name, o.NsPerOp, n.NsPerOp, dns, dalloc, marker)
-	}
-	for name := range oldRecs {
-		if _, ok := newRecs[name]; !ok {
-			fmt.Printf("%-40s  (removed)\n", name)
-		}
-	}
-	if regressed {
-		fmt.Printf("\nregressions beyond %.0f%% detected\n", threshold)
-	}
-	return regressed, nil
-}
-
 // experimentRange renders the registry's span for error messages.
 func experimentRange() string {
 	reg := experiments.Registry()
 	return reg[0].ID + ".." + reg[len(reg)-1].ID
-}
-
-// emitJSON measures every experiment (wall time and allocations around one
-// full run) and the protocol micro-benchmarks (via testing.Benchmark), then
-// writes the records as a JSON array on stdout.
-func emitJSON(only string) error {
-	var records []benchRecord
-	ok := true
-
-	for _, e := range experiments.Registry() {
-		if only != "" && !strings.EqualFold(e.ID, only) {
-			continue
-		}
-		rec, err := measureExperiment(e.ID, e.Run)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		ok = ok && rec.OK
-		records = append(records, rec)
-	}
-	if only != "" && len(records) == 0 {
-		return fmt.Errorf("bayou-bench: unknown experiment %q (have %s)", only, experimentRange())
-	}
-
-	if only == "" {
-		for _, m := range microBenches() {
-			res := testing.Benchmark(m.fn)
-			records = append(records, benchRecord{
-				Name:        m.name,
-				Kind:        "micro",
-				NsPerOp:     float64(res.NsPerOp()),
-				AllocsPerOp: float64(res.AllocsPerOp()),
-				BytesPerOp:  float64(res.AllocedBytesPerOp()),
-				Ops:         int64(res.N),
-				Sessions:    m.sessions,
-				Guarantees:  m.guarantees,
-				OK:          true,
-			})
-		}
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		return err
-	}
-	if !ok {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// measureExperiment times one full experiment run and samples the allocator
-// around it.
-func measureExperiment(id string, fn func() (experiments.Result, error)) (benchRecord, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res, err := fn()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	return benchRecord{
-		Name:        id,
-		Kind:        "experiment",
-		NsPerOp:     float64(elapsed.Nanoseconds()),
-		AllocsPerOp: float64(after.Mallocs - before.Mallocs),
-		BytesPerOp:  float64(after.TotalAlloc - before.TotalAlloc),
-		Ops:         1,
-		OK:          res.OK(),
-	}, nil
-}
-
-// microBench is one entry of the micro matrix.
-type microBench struct {
-	name       string
-	sessions   int
-	guarantees bool
-	fn         func(b *testing.B)
-}
-
-// microBenches runs the same shared hot-path workloads as the root
-// package's bench_test.go (internal/workload), so the JSON report tracks
-// exactly the numbers CI smoke-runs. The multi-session entries sweep the
-// sessions×guarantees matrix over one replica: each session count is
-// measured plain and with ReadYourWrites|MonotonicReads sessions, so the
-// coverage-gate overhead is pinned per report.
-func microBenches() []microBench {
-	benches := []microBench{
-		{"WeakInvokeModified/100ops", 1, false, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := workload.MicroWeakInvoke(100); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"RollbackReexecute/100ops", 1, false, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := workload.MicroRollbackReexecute(100); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		// The transactional pair: the weak rebase loop with a multi-op
-		// undo span in the rolled-back suffix, and strong transfer units
-		// anchored one consensus slot each. Tracked next to their
-		// single-op counterparts so the span/anchoring overhead is pinned
-		// per report.
-		{"TxnWeakRebase/100ops", 1, false, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := workload.MicroTxnWeakRebase(100); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"TxnStrongCommit/64ops", 1, false, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := workload.MicroTxnStrongCommit(64); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	}
-	// The recovery-cost trajectory: snapshot+restore over a 5k-op history,
-	// with checkpointing off (O(history) recovery — the unbounded-log
-	// baseline) and on (O(window)); successive BENCH_*.json snapshots pin
-	// that the checkpointed series stays flat as the repo evolves.
-	for _, every := range []int{0, 256} {
-		every := every
-		name := "SnapshotRestore/5kops/ckpt=off"
-		if every > 0 {
-			name = fmt.Sprintf("SnapshotRestore/5kops/ckpt=%d", every)
-		}
-		benches = append(benches, microBench{name, 1, false, func(b *testing.B) {
-			f, err := workload.NewSnapshotFixture(5_000, every)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Snap = f.Snapshot()
-				if err := f.Restore(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}})
-	}
-	// The strong-path family: a pipelined, batched, leased burst end to
-	// end, the per-commit latency of an established leader (Phase-2-only),
-	// and the locally-served lease read — the three numbers behind the
-	// raw-speed strong path, tracked so the -compare gate catches any
-	// regression of the multi-decree machinery.
-	benches = append(benches,
-		microBench{"StrongBurst/64w64r", workload.StrongBurstSessions, false, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := workload.MicroStrongBurst(64); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		microBench{"StrongCommitLatency", 1, false, func(b *testing.B) {
-			f, err := workload.NewLeaseFixture(10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Write(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		microBench{"LeaseRead", 1, false, func(b *testing.B) {
-			f, err := workload.NewLeaseFixture(10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Read(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-	)
-	for _, sessions := range []int{1, 4, 16} {
-		sessions := sessions
-		benches = append(benches, microBench{
-			fmt.Sprintf("MultiSession/%dx25ops", sessions), sessions, false,
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := workload.MicroMultiSession(sessions, 25); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-		benches = append(benches, microBench{
-			fmt.Sprintf("GuaranteeSession/%dx25ops", sessions), sessions, true,
-			func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := workload.MicroGuaranteeSession(sessions, 25); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-	}
-	return benches
 }

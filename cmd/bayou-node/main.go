@@ -1,8 +1,8 @@
 // Command bayou-node hosts one replica of a multi-process live deployment:
 // it listens on its own address from the cluster's address list, exchanges
 // the replica protocol with its peers over TCP (internal/wire envelopes),
-// and serves the controller process (the bayou façade with WithPeers, or
-// bayou-bench -peers) until told to shut down.
+// and serves the controller process (the bayou façade with WithPeers) until
+// told to shut down.
 //
 // A three-node cluster on one machine:
 //

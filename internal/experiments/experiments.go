@@ -587,8 +587,8 @@ type Entry struct {
 }
 
 // Registry returns every experiment in order, with default arities bound.
-// All and cmd/bayou-bench both derive from it, so the set cannot drift
-// between the table, the JSON report and the tests.
+// All, cmd/bayou-bench and the root package's BenchmarkExperiments derive
+// from it, so the set cannot drift between the tables and the tests.
 func Registry() []Entry {
 	return []Entry{
 		{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4},

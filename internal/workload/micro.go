@@ -1,8 +1,9 @@
 package workload
 
 // The protocol micro-benchmark workloads live here so that the root
-// package's bench_test.go and cmd/bayou-bench's -json report measure the
-// exact same thing and cannot drift apart.
+// package's benchmarks and allocation ceilings (bench_test.go) and the
+// core.* probes of the bench/ module measure the exact same thing and cannot
+// drift apart.
 
 import (
 	"errors"
@@ -43,8 +44,7 @@ func MicroWeakInvoke(ops int) error {
 // sequential sessions all bound to replica 0 of a three-replica simulated
 // cluster, each issuing `ops` weak increments round-robin, then one settle.
 // It measures what the per-replica session multiplexing costs as the
-// sessions dimension grows (BenchmarkMultiSessionInvoke and the `sessions`
-// field of cmd/bayou-bench's -json report).
+// sessions dimension grows (BenchmarkMultiSessionInvoke).
 func MicroMultiSession(sessions, ops int) error {
 	c, err := cluster.New(cluster.Config{N: 3, Variant: core.NoCircularCausality, Seed: 404, StepBatch: 8})
 	if err != nil {
@@ -68,9 +68,10 @@ func MicroMultiSession(sessions, ops int) error {
 
 // MicroGuaranteeSession is MicroMultiSession with every session carrying
 // ReadYourWrites|MonotonicReads: the same deployment, the same invocation
-// pattern, plus the coverage gate on every invoke. Pairing its record with
-// MicroMultiSession's in the -json report pins what guarantee enforcement
-// costs on the weak path as the sessions×guarantees matrix grows. An invoke
+// pattern, plus the coverage gate on every invoke. Pairing it with
+// MicroMultiSession at the same session count (BenchmarkGuaranteeCoverage
+// against BenchmarkMultiSessionInvoke) pins what guarantee enforcement
+// costs on the weak path as the sessions dimension grows. An invoke
 // that lands while the session's previous write is still parked on its own
 // coverage retries after letting the deployment run — that wait is part of
 // the price being measured.
@@ -159,21 +160,6 @@ func (f *SnapshotFixture) Restore() error {
 	return nil
 }
 
-// MicroSnapshotRestore is the crash–recovery hot path as a one-shot
-// workload: build `history` committed ops (checkpointing every `every`), then
-// snapshot and restore once. cmd/bayou-bench's -json report runs it so the
-// recovery-cost trajectory is recorded alongside the protocol hot paths; the
-// root package's BenchmarkSnapshotRestore/BenchmarkCheckpointRecovery
-// measure the same fixture with the build excluded from the timed region.
-func MicroSnapshotRestore(history, every int) error {
-	f, err := NewSnapshotFixture(history, every)
-	if err != nil {
-		return err
-	}
-	f.Snap = f.Snapshot()
-	return f.Restore()
-}
-
 // StrongBurstSessions is how many concurrent sequential sessions the
 // strong burst keeps open against the leader. It deliberately exceeds
 // the default pipeline window (8): the overflow is what accumulates in
@@ -212,9 +198,8 @@ type StrongBurstStats struct {
 // cluster with a stable leader, StrongBurstSessions concurrent sessions
 // pushing `ops` strong increments through consensus (slot batching and
 // pipelining collapse them into few decided slots), then `ops` strong
-// reads served locally under the leader lease (MicroStrongBurst in
-// cmd/bayou-bench's -json report, BenchmarkStrongBurst in the root
-// package).
+// reads served locally under the leader lease (BenchmarkStrongBurst in the
+// root package).
 func MicroStrongBurst(ops int) error {
 	_, err := MicroStrongBurstStats(ops, ops, 0, 0, true)
 	return err
