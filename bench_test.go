@@ -170,11 +170,11 @@ var raceDetector bool
 //
 // The collector is off while a row is measured: with it on, the count also
 // depends on how many collections fall inside the measurement, and so on
-// the heap the rest of the test binary holds (GuaranteeSession read 22 250
-// alone and up to 22 252 in this package). Each count is the floor of a
-// 20-run mean. StrongBurst's single runs spread over 5698–5700 with
+// the heap the rest of the test binary holds (GuaranteeSession once read
+// 22 250 alone and up to 22 252 in this package). Each count is the floor
+// of a 20-run mean. StrongBurst's single runs spread over 5691–5696 with
 // identical simulated outcomes, and its 20-run mean stays within
-// 5698.00–5698.30. StrongCommitLatency grows its fixture's history on every
+// 5691.00–5691.10. StrongCommitLatency grows its fixture's history on every
 // call, so its count depends on the run count. Under -race StrongBurst
 // allocates ≈6 000–6 100 per run, varying from run to run, so that row is
 // skipped there; every other row counts the same with and without -race.
@@ -196,10 +196,10 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WeakInvokeModified/100ops", 1274, func() error { return workload.MicroWeakInvoke(100) }, false},
 		{"RollbackReexecute/100ops", 1492, func() error { return workload.MicroRollbackReexecute(100) }, false},
 		{"TxnWeakRebase/100ops", 2007, func() error { return workload.MicroTxnWeakRebase(100) }, false},
-		{"TxnStrongCommit/64ops", 8548, func() error { return workload.MicroTxnStrongCommit(64) }, false},
-		{"StrongBurst/64w64r", 5698, func() error { return workload.MicroStrongBurst(64) }, true},
-		{"MultiSession/8x25ops", 18344, func() error { return workload.MicroMultiSession(8, 25) }, false},
-		{"GuaranteeSession/8x25ops", 22250, func() error { return workload.MicroGuaranteeSession(8, 25) }, false},
+		{"TxnStrongCommit/64ops", 8545, func() error { return workload.MicroTxnStrongCommit(64) }, false},
+		{"StrongBurst/64w64r", 5691, func() error { return workload.MicroStrongBurst(64) }, true},
+		{"MultiSession/8x25ops", 18338, func() error { return workload.MicroMultiSession(8, 25) }, false},
+		{"GuaranteeSession/8x25ops", 19715, func() error { return workload.MicroGuaranteeSession(8, 25) }, false},
 		{"StrongCommitLatency", 87, commit.Write, false},
 		{"LeaseRead", 10, read.Read, false},
 	} {

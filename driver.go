@@ -135,19 +135,12 @@ func newSimDriver(o config) (*simDriver, error) {
 		StepBatch:       o.StepBatch,
 		Latency:         sim.Time(o.Latency),
 		CheckpointEvery: o.CheckpointEvery,
-		PipelineDepth:   o.PipelineDepth,
 	}
 	if o.LeaderLease {
 		cfg.LeaseTicks = defaultLeaseTicks
 	}
 	if o.UsePrimaryTOB {
 		cfg.TOB = cluster.PrimaryTOB
-	}
-	if len(o.SlowReplicas) > 0 {
-		cfg.ProcDelay = make(map[core.ReplicaID]sim.Time, len(o.SlowReplicas))
-		for id, d := range o.SlowReplicas {
-			cfg.ProcDelay[core.ReplicaID(id)] = sim.Time(d)
-		}
 	}
 	if len(o.ClockSlowdown) > 0 {
 		cfg.ClockSlowdown = make(map[core.ReplicaID]int64, len(o.ClockSlowdown))

@@ -32,14 +32,11 @@ type liveDriver struct {
 // over TCP and this process is the controller; otherwise the replicas run
 // as in-process goroutines over channel links.
 func newLiveDriver(o config) (*liveDriver, error) {
-	if len(o.SlowReplicas) > 0 || len(o.ClockSlowdown) > 0 {
-		return nil, fmt.Errorf("%w: per-replica timing knobs (SlowReplicas/ClockSlowdown) need the deterministic simulator", ErrUnsupported)
+	if len(o.ClockSlowdown) > 0 {
+		return nil, fmt.Errorf("%w: per-replica clock skew (WithClockSlowdown) needs the deterministic simulator", ErrUnsupported)
 	}
 	if o.Latency != 0 {
 		return nil, fmt.Errorf("%w: link latency (WithLatency) needs the deterministic simulator", ErrUnsupported)
-	}
-	if o.PipelineDepth != 0 {
-		return nil, fmt.Errorf("%w: slot pipelining (WithPipelineDepth) needs the simulator's Paxos total order", ErrUnsupported)
 	}
 	if len(o.Peers) > 0 {
 		// The node processes own variant and checkpoint cadence via their

@@ -131,16 +131,19 @@ type node struct {
 	retrying bool
 	ckpting  bool
 
+	// leaseHeld is the ordering-lease predicate core.Replica.Accept asks
+	// before serving a strong read locally: the TOB endpoint's LeaseHeld,
+	// nil when leases are off.
+	leaseHeld func() bool
+
 	effPool core.EffectsPool
 	reqBuf  []core.Req // scratch for converting delivery batches
 }
 
-// parkedInvoke is one invocation blocked on a coverage gate.
+// parkedInvoke is one admitted invocation blocked on a coverage gate.
 type parkedInvoke struct {
-	sess  core.SessionID
-	op    spec.Op
-	level core.Level
-	call  *record.Call
+	inv  core.Invocation
+	call *record.Call
 }
 
 func (n *node) takeEff() *core.Effects { return n.effPool.Take() }
@@ -218,6 +221,9 @@ func New(cfg Config) (*Cluster, error) {
 				px.EnableLease(cfg.LeaseTicks)
 			}
 			n.tobNode = px
+		}
+		if cfg.LeaseTicks > 0 {
+			n.leaseHeld = n.tobNode.LeaseHeld
 		}
 		n.tobNode.SetBatchDeliver(n.onTOBDeliverBatch)
 		n.tobNode.SetInstall(n.onInstallCheckpoint)
@@ -397,40 +403,23 @@ func (c *Cluster) InvokeSessionAt(sess core.SessionID, id core.ReplicaID, op spe
 	if n.crashed {
 		return nil, fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, id, sess)
 	}
-	g, mode, err := c.rec.SessionGate(sess)
+	call, inv, mode, err := c.rec.Admit(sess, op, level, int64(c.sched.Now()))
 	if err != nil {
 		return nil, err
 	}
-	if g == 0 {
-		if call, ok := c.tryLeaseRead(n, sess, op, level, nil); ok {
-			return call, nil
-		}
-		// Plain sessions take the ungated hot path.
-		eff := n.takeEff()
-		defer n.putEff(eff)
-		req, err := n.replica.InvokeFrom(sess, op, level == core.Strong, eff)
-		if err != nil {
+	pi := parkedInvoke{inv: inv, call: call}
+	switch {
+	case n.replica.Covers(inv):
+		if err := n.accept(pi); err != nil {
+			c.rec.CancelInvoke(call)
 			return nil, fmt.Errorf("cluster: invoke on %d: %w", id, err)
 		}
-		call := c.rec.Invoked(sess, req.Dot, op, level, req.Timestamp, len(eff.TOBCast) > 0, int64(c.sched.Now()))
-		n.route(*eff)
-		n.scheduleStep()
-		return call, nil
-	}
-	call, err := c.rec.PendingInvoke(sess, op, level, int64(c.sched.Now()))
-	if err != nil {
-		return nil, err
-	}
-	pi := parkedInvoke{sess: sess, op: op, level: level, call: call}
-	if n.covers(pi) {
-		c.completeParked(n, pi)
-		return call, nil
-	}
-	if mode == core.FailFast {
+	case mode == core.FailFast:
 		c.rec.CancelInvoke(call)
 		return nil, fmt.Errorf("%w: session %d at replica %d", record.ErrGuarantee, sess, id)
+	default:
+		n.parked = append(n.parked, pi)
 	}
-	n.parked = append(n.parked, pi)
 	return call, nil
 }
 
@@ -453,69 +442,24 @@ func (c *Cluster) SessionCovered(sess core.SessionID, id core.ReplicaID) (bool, 
 	return n.replica.CoversSession(read, write), nil
 }
 
-// covers reports whether the node's replica dominates the invocation's
-// coverage demands right now (core.Replica.CoversInvoke is the shared
-// gate; see its comment for the read/committed/write split).
-func (n *node) covers(pi parkedInvoke) bool {
-	updating := !pi.op.ReadOnly()
-	read, write, _ := n.cl.rec.Demands(pi.sess, updating)
-	return n.replica.CoversInvoke(pi.level, updating, read, write)
-}
-
-// tryLeaseRead serves a strong read-only invocation locally — zero proposal
-// rounds — when (1) leases are enabled, (2) the node's TOB endpoint holds
-// the ordering lease (its committed prefix is the global one), and (3) the
-// session gate proves every operation the session ever cast is inside that
-// prefix (so session order cannot expose the read as stale). It reports
-// ok=false to fall through to the normal consensus path. A parked
-// guarantee-gated invocation passes its pending call; plain-path callers
-// pass nil and get a freshly minted handle.
-func (c *Cluster) tryLeaseRead(n *node, sess core.SessionID, op spec.Op, level core.Level, pending *record.Call) (*Call, bool) {
-	if c.cfg.LeaseTicks <= 0 || level != core.Strong || !op.ReadOnly() || !n.tobNode.LeaseHeld() {
-		return nil, false
-	}
-	if !c.rec.SessionCastCommittedWithin(sess, int64(n.replica.CommittedLen())) {
-		return nil, false
-	}
+// accept serves a covered invocation at the node (core.Replica.Accept) and
+// binds the pending call to the minted dot.
+func (n *node) accept(pi parkedInvoke) error {
 	eff := n.takeEff()
 	defer n.putEff(eff)
-	req, ok, err := n.replica.StrongReadLocal(sess, op, eff)
+	req, leased, err := n.replica.Accept(pi.inv, n.leaseHeld, eff)
 	if err != nil {
-		panic(fmt.Sprintf("cluster: lease read on %d: %v", n.id, err))
+		return err
 	}
-	if !ok {
-		return nil, false
+	n.cl.rec.CompleteInvoke(pi.call, req.Dot, req.Timestamp, len(eff.TOBCast) > 0, int64(n.cl.sched.Now()))
+	if leased {
+		n.cl.rec.LeaseServed(req.Dot, int64(n.replica.CommittedLen()))
 	}
-	leaseNo := int64(n.replica.CommittedLen())
-	call := pending
-	if call != nil {
-		c.rec.CompleteInvoke(call, req.Dot, req.Timestamp, false, int64(c.sched.Now()))
-	} else {
-		call = c.rec.Invoked(sess, req.Dot, op, level, req.Timestamp, false, int64(c.sched.Now()))
-	}
-	c.rec.LeaseServed(req.Dot, leaseNo)
 	n.route(*eff)
-	return call, true
-}
-
-// completeParked accepts a gated invocation at the node: the clock is
-// fenced above the session vectors, the replica invoked, and the pending
-// call bound to its minted dot.
-func (c *Cluster) completeParked(n *node, pi parkedInvoke) {
-	_, _, fence := c.rec.Demands(pi.sess, !pi.op.ReadOnly())
-	n.replica.FenceClock(fence)
-	if _, ok := c.tryLeaseRead(n, pi.sess, pi.op, pi.level, pi.call); ok {
-		return
+	if !leased {
+		n.scheduleStep()
 	}
-	eff := n.takeEff()
-	defer n.putEff(eff)
-	req, err := n.replica.InvokeFrom(pi.sess, pi.op, pi.level == core.Strong, eff)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: gated invoke on %d: %v", n.id, err))
-	}
-	c.rec.CompleteInvoke(pi.call, req.Dot, req.Timestamp, len(eff.TOBCast) > 0, int64(c.sched.Now()))
-	n.route(*eff)
-	n.scheduleStep()
+	return nil
 }
 
 // retryParked completes every parked invocation whose coverage now holds,
@@ -531,7 +475,7 @@ func (n *node) retryParked() {
 	for !n.crashed {
 		hit := -1
 		for i, pi := range n.parked {
-			if n.covers(pi) {
+			if n.replica.Covers(pi.inv) {
 				hit = i
 				break
 			}
@@ -541,7 +485,9 @@ func (n *node) retryParked() {
 		}
 		pi := n.parked[hit]
 		n.parked = append(n.parked[:hit], n.parked[hit+1:]...)
-		n.cl.completeParked(n, pi)
+		if err := n.accept(pi); err != nil {
+			panic(fmt.Sprintf("cluster: gated invoke on %d: %v", n.id, err))
+		}
 	}
 }
 

@@ -222,3 +222,69 @@ func TestPipelinedBatchedRunConvergesUnderCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedStrongReadUsesFrozenCastGate pins the lease gate both drivers
+// share: a parked invocation is served with the cast gate its session
+// proved at admission. A Causal session's weak update at replica 1 has not
+// reached the leader yet, so the session's strong read at the leader parks
+// on read coverage, and at admission the update was still in flight — the
+// cast gate was not proven. Once the update commits at the leader the read
+// is covered and goes through consensus, although the leader holds the
+// lease and the session's casts are by then all committed. The session's
+// next strong read is admitted with a proven gate and served by the lease.
+func TestParkedStrongReadUsesFrozenCastGate(t *testing.T) {
+	c, err := New(Config{N: 3, Variant: core.NoCircularCausality, Seed: 93, LeaseTicks: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StabilizeOmega(0)
+	mustInvoke(t, c, 0, spec.Inc("c", 1), core.Strong)
+	mustSettle(t, c)
+	waitLease(t, c, 0)
+
+	rec := c.Recorder()
+	s := rec.OpenSession(1)
+	rec.SetGuarantees(s, core.Causal, core.WaitForCoverage)
+	w, err := c.InvokeSessionAt(s, 1, spec.Inc("c", 10), core.Weak)
+	if err != nil || !w.Done() {
+		t.Fatalf("weak update: done=%v err=%v", w != nil && w.Done(), err)
+	}
+	parked, err := c.InvokeSessionAt(s, 0, spec.CtrGet("c"), core.Strong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (parked.Dot() != core.Dot{}) {
+		t.Fatalf("strong read accepted as %s before the leader held the session's write", parked.Dot())
+	}
+	mustSettle(t, c)
+	if !parked.Done() || !spec.Equal(parked.Value(), int64(11)) {
+		t.Fatalf("parked read: done=%v value=%v, want 11", parked.Done(), parked.Value())
+	}
+	if !c.TOBLeaseHeld(0) {
+		t.Fatal("the leader lost the lease; the next read cannot show the gate")
+	}
+	leased, err := c.InvokeSessionAt(s, 0, spec.CtrGet("c"), core.Strong)
+	if err != nil || !leased.Done() {
+		t.Fatalf("the session's next strong read: done=%v err=%v, want served by the lease", leased != nil && leased.Done(), err)
+	}
+
+	h, err := c.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range h.Events {
+		switch e.Dot {
+		case parked.Dot():
+			if e.LeaseRead || !e.TOBCast {
+				t.Errorf("parked read: LeaseRead=%v TOBCast=%v, want a consensus read", e.LeaseRead, e.TOBCast)
+			}
+		case leased.Dot():
+			if !e.LeaseRead {
+				t.Error("the session's next strong read was not a lease read")
+			}
+		}
+	}
+	if rep := check.NewWitness(h).Guarantees(core.Causal); !rep.OK() {
+		t.Errorf("%s", rep)
+	}
+}

@@ -148,9 +148,8 @@ func TestCoversWriteDemandsCommit(t *testing.T) {
 		t.Error("a committed write must write-cover")
 	}
 
-	p.FenceClock(500)
-	eff2, err := p.Invoke(spec.Inc("c", 1), false)
-	if err != nil {
+	var eff2 Effects
+	if _, _, err := p.Accept(Invocation{Session: 0, Op: spec.Inc("c", 1), Level: Weak, Fence: 500}, nil, &eff2); err != nil {
 		t.Fatal(err)
 	}
 	if ts := eff2.RBCast[0].Timestamp; ts <= 500 {

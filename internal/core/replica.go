@@ -251,15 +251,61 @@ func (p *Replica) invokeModified(r Req, session SessionID, eff *Effects) error {
 	return nil
 }
 
-// StrongReadLocal serves a strong read-only operation directly from the
+// Invocation is one client invocation as the serving replica accepts it.
+// The client's session table admits it (record.Recorder.Admit) and freezes
+// into it everything the replica needs from the session, so the replica
+// never reads the session table: the coverage demands (Read, Write) and
+// clock fence of a guarantee-carrying session, and — for a strong read when
+// leases are on — the session's lease-read cast gate (CastOK/CastCeil: the
+// largest commit position among the session's TOB casts, proven only when
+// nothing it cast is still in flight). Freezing is sound because the
+// admitted session stays busy until the invocation resolves, and a busy
+// session's vectors and casts cannot move.
+type Invocation struct {
+	Session  SessionID
+	Op       spec.Op
+	Level    Level
+	Read     Vec
+	Write    Vec
+	Fence    int64
+	CastOK   bool
+	CastCeil int64
+}
+
+// Accept serves an admitted, covered invocation (see Covers): the clock is
+// fenced above the session's vectors, so the new request sorts after
+// everything they demand even when the session migrated from a replica
+// with a faster clock; a strong read-only operation is served locally from
+// the committed prefix when the caller holds the ordering lease and the
+// cast gate holds at the current committed length, so session order cannot
+// expose the read as stale; anything else is invoked (InvokeFrom). holder
+// reports whether the caller holds the ordering lease (its committed prefix
+// is the global one); it is nil when leases are off, and it is consulted
+// only for a strong read-only operation, before the cast gate. leased
+// reports a lease read: the response is already in eff and nothing was
+// TOB-cast.
+func (p *Replica) Accept(inv Invocation, holder func() bool, eff *Effects) (req Req, leased bool, err error) {
+	if inv.Fence > p.lastTS {
+		p.lastTS = inv.Fence
+	}
+	if holder != nil && inv.Level == Strong && inv.Op.ReadOnly() && holder() &&
+		inv.CastOK && inv.CastCeil <= int64(p.absCommitted()) {
+		if req, ok, err := p.strongReadLocal(inv.Session, inv.Op, eff); err != nil || ok {
+			return req, ok, err
+		}
+	}
+	req, err = p.InvokeFrom(inv.Session, inv.Op, inv.Level == Strong, eff)
+	return req, false, err
+}
+
+// strongReadLocal serves a strong read-only operation directly from the
 // replica's committed prefix, bypassing total order broadcast — the lease
-// fast path. The caller (the cluster layer) is responsible for the
-// distributed half of the safety argument: it must hold the ordering lease
-// (so the local committed prefix is the global one) and prove the session
-// gate (so session order cannot observe the read as stale). This method
-// owns the local half: it reports ok=false — caller falls back to the
-// normal TOB path — unless the operation is read-only and the replica has
-// fully executed its committed prefix with no rollbacks pending.
+// fast path of Accept, which has already checked the distributed half of
+// the safety argument (the ordering lease and the session's cast gate).
+// This method owns the local half: it reports ok=false — Accept falls back
+// to the normal TOB path — unless the operation is read-only and the
+// replica has fully executed its committed prefix with no rollbacks
+// pending.
 //
 // The committed prefix is rebuilt transiently: the executed tentative
 // suffix is rolled back in reverse, the read executes (and rolls back) on
@@ -267,7 +313,7 @@ func (p *Replica) invokeModified(r Req, session SessionID, eff *Effects) error {
 // identical values, identical undo trace, so the replica's observable state
 // is untouched. O(tentative suffix), which is O(1) on a strong-only
 // workload where nothing is tentative.
-func (p *Replica) StrongReadLocal(session SessionID, op spec.Op, eff *Effects) (Req, bool, error) {
+func (p *Replica) strongReadLocal(session SessionID, op spec.Op, eff *Effects) (Req, bool, error) {
 	if !op.ReadOnly() || len(p.toBeRolledBack) > 0 {
 		return Req{}, false, nil
 	}
@@ -833,24 +879,25 @@ func (p *Replica) CoversWrite(v Vec) bool {
 	return p.CoversCommitted(v)
 }
 
-// CoversInvoke is the invocation coverage gate, shared by both drivers: it
-// reports whether the replica can accept an invocation at the given level
-// whose session carries the given read/write demands. Algorithm 2 weak
-// operations compute their response inside the invoke, so executed-state
-// read coverage suffices; strong operations — and every Algorithm 1
-// operation, whose response may be computed at the commit position the
-// commit order pre-empts — demand the committed prefix. Updating
-// operations additionally demand write coverage so arbitration orders them
-// after the session's past.
-func (p *Replica) CoversInvoke(level Level, updating bool, read, write Vec) bool {
-	if level == Strong || p.variant == Original {
-		if !p.CoversCommitted(read) {
+// Covers is the invocation coverage gate, shared by both drivers: it
+// reports whether the replica can accept the invocation given the demand
+// vectors its session froze at admission. Algorithm 2 weak operations
+// compute their response inside the invoke, so executed-state read
+// coverage suffices; strong operations — and every Algorithm 1 operation,
+// whose response may be computed at the commit position the commit order
+// pre-empts — demand the committed prefix. Updating operations additionally
+// demand write coverage so arbitration orders them after the session's
+// past. A plain session's invocation carries empty vectors and is always
+// covered.
+func (p *Replica) Covers(inv Invocation) bool {
+	if inv.Level == Strong || p.variant == Original {
+		if !p.CoversCommitted(inv.Read) {
 			return false
 		}
-	} else if !p.CoversRead(read) {
+	} else if !p.CoversRead(inv.Read) {
 		return false
 	}
-	return !updating || p.CoversWrite(write)
+	return inv.Op.ReadOnly() || p.CoversWrite(inv.Write)
 }
 
 // CoversSession is the conservative session probe behind the drivers'
@@ -860,17 +907,6 @@ func (p *Replica) CoversInvoke(level Level, updating bool, read, write Vec) bool
 // it approves is never rejected by the per-invocation gate.
 func (p *Replica) CoversSession(read, write Vec) bool {
 	return p.CoversCommitted(read) && p.CoversWrite(write)
-}
-
-// FenceClock raises the replica's clock watermark so the next minted
-// request timestamps strictly after ts. Guarantee-carrying drivers fence
-// with the session vector's MaxTS before invoking, which keeps the new
-// request behind every demanded dot in tentative (timestamp) order even
-// when the session migrated from a replica with a faster clock.
-func (p *Replica) FenceClock(ts int64) {
-	if ts > p.lastTS {
-		p.lastTS = ts
-	}
 }
 
 // Committed returns a copy of the resident committed list — the suffix past

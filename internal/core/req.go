@@ -31,10 +31,6 @@ type ReplicaID int
 // from n upwards.
 type SessionID int64
 
-// NoSession marks an invocation that is not part of any recorded session
-// (raw replica drivers, micro-benchmarks). Recorders skip such requests.
-const NoSession SessionID = -1
-
 // Dot uniquely identifies a request: the issuing replica and that replica's
 // invocation counter (Algorithm 1 line 11: (i, currEventNo)).
 type Dot struct {

@@ -379,9 +379,11 @@ func remoteError(s string) error {
 }
 
 // submit implements carrier. An invocation mirrors the in-process client
-// exactly: the session's frozen demand vectors and lease gate travel inside
-// the envelope, and the node's completion or cancellation event is applied
-// (readLoop) before the RPC reply resolves.
+// exactly: the admitted core.Invocation travels inside the envelope field
+// by field (wire.Envelope.Gated is no longer read: a plain session's
+// invocation carries empty demands, which every replica covers), and the
+// node's completion or cancellation event is applied (readLoop) before the
+// RPC reply resolves.
 func (s *sockets) submit(replica int, m message) error {
 	env := wire.Envelope{Kind: wire.KindCrash}
 	switch m.kind {
@@ -390,16 +392,15 @@ func (s *sockets) submit(replica int, m message) error {
 	case msgInvoke:
 		env = wire.Envelope{
 			Kind:     wire.KindInvoke,
-			Sess:     int64(m.sess),
-			Op:       m.op,
-			Strong:   m.strong,
-			Gated:    m.gated,
+			Sess:     int64(m.inv.Session),
+			Op:       m.inv.Op,
+			Strong:   m.inv.Level == core.Strong,
 			FailFast: m.failFast,
-			Read:     m.read,
-			Write:    m.write,
-			Fence:    m.fence,
-			CastOK:   m.castOK,
-			CastCeil: m.castCeil,
+			Read:     m.inv.Read,
+			Write:    m.inv.Write,
+			Fence:    m.inv.Fence,
+			CastOK:   m.inv.CastOK,
+			CastCeil: m.inv.CastCeil,
 		}
 	}
 	_, err := s.rpcT(replica, &env, rpcTimeout)

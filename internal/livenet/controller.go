@@ -85,7 +85,6 @@ type answer struct {
 // Always Stop it.
 type Controller struct {
 	n       int
-	lease   bool
 	rec     *record.Recorder
 	started time.Time
 	car     carrier
@@ -139,7 +138,6 @@ func NewRemote(cfg RemoteConfig) (*Controller, error) {
 func newController(n int, lease bool) *Controller {
 	c := &Controller{
 		n:       n,
-		lease:   lease,
 		rec:     record.New(n),
 		started: time.Now(),
 		cells:   make([]int, n),
@@ -201,34 +199,20 @@ func (c *Controller) observe(ev obsEvent) {
 // with call.WaitDone). Sessions are sequential: a session whose previous
 // call has not returned is rejected with record.ErrSessionBusy.
 //
-// The pending call is minted here (atomically marking the session busy)
-// and handed to the replica together with everything the node needs from
-// the recorder — frozen demand vectors for gated sessions, the lease-read
-// cast ceiling — so the node itself never touches the recorder.
+// The recorder admits the invocation here (Recorder.Admit: the pending
+// call marks the session busy) and freezes into it everything the node
+// needs from the session table — demand vectors for guarantee-carrying
+// sessions, the lease-read cast gate — so the node itself never touches
+// the recorder.
 func (c *Controller) Invoke(sess core.SessionID, replica int, op spec.Op, level core.Level) (*record.Call, error) {
 	if err := c.check(replica); err != nil {
 		return nil, err
 	}
-	g, mode := c.rec.Guarantees(sess)
-	call, err := c.rec.PendingInvoke(sess, op, level, c.wall())
+	call, inv, mode, err := c.rec.Admit(sess, op, level, c.wall())
 	if err != nil {
 		return nil, err
 	}
-	m := message{
-		kind:   msgInvoke,
-		sess:   sess,
-		op:     op,
-		strong: level == core.Strong,
-		call:   call,
-	}
-	if g != 0 {
-		m.gated = true
-		m.failFast = mode == core.FailFast
-		m.read, m.write, m.fence = c.rec.FreezeDemands(call, !op.ReadOnly())
-	}
-	if c.lease && level == core.Strong && op.ReadOnly() {
-		m.castCeil, m.castOK = c.rec.SessionCastCeiling(sess)
-	}
+	m := message{kind: msgInvoke, inv: inv, failFast: mode == core.FailFast, call: call}
 	if err := c.car.submit(replica, m); err != nil {
 		// Withdraw the pending call so the session is not left busy
 		// forever: the node's own cancel may not have arrived (it stopped,

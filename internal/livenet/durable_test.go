@@ -49,13 +49,17 @@ func burst(t *testing.T, r *remoteNode, msgs ...message) {
 	n.h.endBurst()
 	for _, m := range msgs {
 		if err := <-m.reply; err != nil {
-			t.Fatalf("invoke on session %d: %v", m.sess, err)
+			t.Fatalf("invoke on session %d: %v", m.inv.Session, err)
 		}
 	}
 }
 
 func invokeMsg(sess int, op spec.Op, strong bool) message {
-	return message{kind: msgInvoke, sess: core.SessionID(sess), op: op, strong: strong, reply: make(chan error, 1)}
+	level := core.Weak
+	if strong {
+		level = core.Strong
+	}
+	return message{kind: msgInvoke, inv: core.Invocation{Session: core.SessionID(sess), Op: op, Level: level}, reply: make(chan error, 1)}
 }
 
 // TestReplayMatchesPersistedImage drives a durable sequencer through bursts
@@ -70,8 +74,7 @@ func TestReplayMatchesPersistedImage(t *testing.T) {
 	r := durableNode(t, dir, 4)
 	n := r.nd
 	parked := invokeMsg(9, spec.Inc("parked", 1), false)
-	parked.gated = true
-	parked.read = core.Vec{Frontier: []core.Dot{{Replica: 1, EventNo: 99}}} // never covered
+	parked.inv.Read = core.Vec{Frontier: []core.Dot{{Replica: 1, EventNo: 99}}} // never covered
 	burst(t, r, parked)
 
 	segments := map[int64]bool{}

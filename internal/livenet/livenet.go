@@ -40,7 +40,6 @@ import (
 
 	"bayou/internal/core"
 	"bayou/internal/record"
-	"bayou/internal/spec"
 	"bayou/internal/wire"
 )
 
@@ -76,23 +75,13 @@ type message struct {
 	reqs     []core.Req // msgRBDeliver/msgForward batch; msgCommitBatch run (numbers commitNo..commitNo+len-1)
 	commitNo int64
 	from     core.ReplicaID // msgResync: the recovering requester
-	op       spec.Op
-	strong   bool
-	sess     core.SessionID
-	call     *record.Call // the pre-minted pending call (nil on a remote node: the controller holds it)
-	// Invoke payload computed at the client against the shared recorder and
-	// shipped with the message, so the node never reads the recorder: the
-	// session's frozen demand vectors and fence (gated invokes), and the
-	// lease-read gate (the highest commit position among the session's TOB
-	// casts, proven only when castOK). They are frozen safely: PendingInvoke
-	// marks the session busy, and a busy session's vectors cannot change.
-	gated    bool
+	// msgInvoke: the invocation as the client's session table admitted it
+	// (record.Recorder.Admit), with the session's frozen demand vectors,
+	// fence and lease-read cast gate, so the node never reads the
+	// recorder; failFast rejects it on a coverage miss instead of parking.
+	inv      core.Invocation
 	failFast bool
-	read     core.Vec
-	write    core.Vec
-	fence    int64
-	castOK   bool
-	castCeil int64
+	call     *record.Call           // the pre-minted pending call (nil on a remote node: the controller holds it)
 	ckpt     *core.CheckpointRecord // msgStateXfer: the transferred image
 	reply    chan error             // msgInvoke/msgCrash/msgRecover: the node's verdict
 	inspect  func(*node)
@@ -133,7 +122,11 @@ type obsEvent struct {
 // traffic flows into and the observation sink recorder events flow into.
 // fabric implements it with channels and the controller's recorder in the
 // same process; remoteNode (remote.go) implements it with TCP links and an
-// event stream to the controller process.
+// event stream to the controller process. Client invocations reach the node
+// as the core.Invocation the controller's recorder admitted (msgInvoke); the
+// node serves them with core.Replica.Covers/Accept and reports back only
+// through observe, so what the host contributes to admission is where the
+// completion goes and, for parked invocations, persistBeforeSend.
 type host interface {
 	// sendPeer delivers a protocol message to another replica (parking it
 	// on partitions, dropping or parking it toward crashed targets — the
@@ -208,15 +201,20 @@ type heldMsg struct {
 }
 
 type node struct {
-	id      core.ReplicaID
-	h       host
-	n       int          // deployment size
-	clock   func() int64 // logical timestamp source
-	lease   bool
-	ckptE   int // automatic checkpoint cadence (0 = off)
-	replica *core.Replica
-	inbox   chan message
-	stop    chan struct{}
+	id    core.ReplicaID
+	h     host
+	n     int          // deployment size
+	clock func() int64 // logical timestamp source
+	// leaseHeld is the ordering-lease predicate core.Replica.Accept asks
+	// before serving a strong read locally: with leases on, the sequencer
+	// is the degenerate permanent leaseholder (its committed prefix is the
+	// global one by construction); nil on every other node, or with
+	// leases off.
+	leaseHeld func() bool
+	ckptE     int // automatic checkpoint cadence (0 = off)
+	replica   *core.Replica
+	inbox     chan message
+	stop      chan struct{}
 
 	// Fault plane. down is the goroutine-local crashed flag; crashed is
 	// its atomic shadow read by senders (so traffic toward a crashed
@@ -262,20 +260,12 @@ type node struct {
 	parked []parkedInvoke
 }
 
-// parkedInvoke is one invocation blocked on a coverage gate, carrying the
-// session's frozen demand vectors and lease gate (see message). The
-// exported fields are what NodeImage persists; the call pointer is
-// in-process only (a node process's is always nil).
+// parkedInvoke is one admitted invocation blocked on a coverage gate. Inv
+// is what NodeImage persists; the call pointer is in-process only (a node
+// process's is always nil).
 type parkedInvoke struct {
-	Sess     core.SessionID
-	Op       spec.Op
-	Level    core.Level
-	call     *record.Call
-	Read     core.Vec
-	Write    core.Vec
-	Fence    int64
-	CastOK   bool
-	CastCeil int64
+	Inv  core.Invocation
+	call *record.Call
 }
 
 func (n *node) takeEff() *core.Effects { return n.effPool.Take() }
@@ -314,13 +304,15 @@ func newNode(id core.ReplicaID, n int, variant core.Variant, h host, clock func(
 		h:          h,
 		n:          n,
 		clock:      clock,
-		lease:      lease,
 		ckptE:      ckptEvery,
 		inbox:      make(chan message, inboxSize),
 		stop:       make(chan struct{}),
 		stamped:    make(map[string]bool),
 		nextCommit: 1,
 		held:       make(map[int64]core.Req),
+	}
+	if lease && id == 0 {
+		nd.leaseHeld = func() bool { return true }
 	}
 	nd.replica = core.NewReplica(id, variant, clock)
 	nd.replica.EnableTransitions()
@@ -542,75 +534,30 @@ func (n *node) settleLocal() {
 	}
 }
 
-// covers reports whether this replica dominates the invocation's coverage
-// demands right now (core.Replica.CoversInvoke is the shared gate; see its
-// comment for the read/committed/write split). The demand vectors were
-// frozen when the invocation was submitted — the session has been busy
-// since, so they cannot have moved.
-func (n *node) covers(pi parkedInvoke) bool {
-	return n.replica.CoversInvoke(pi.Level, !pi.Op.ReadOnly(), pi.Read, pi.Write)
-}
-
-// tryLeaseRead serves a strong read-only invocation locally on the
-// sequencer — zero forwarding round-trips — when (1) the leader lease is
-// enabled, (2) this node is the sequencer (the degenerate permanent
-// leaseholder: its committed prefix is the global one by construction),
-// and (3) the session gate proves every operation the session ever cast
-// is inside that prefix, so session order cannot expose the read as
-// stale. The gate ships with the invocation (castOK/castCeil): the
-// highest commit position among the session's TOB casts, proven at
-// submission — the session is busy from then on, so no new casts can
-// appear underneath it. It reports false to fall through to the normal
-// forward path.
-func (n *node) tryLeaseRead(pi parkedInvoke) bool {
-	if !n.lease || pi.Level != core.Strong || !pi.Op.ReadOnly() || n.id != 0 || n.down {
-		return false
-	}
-	if !pi.CastOK || pi.CastCeil > int64(n.replica.CommittedLen()) {
-		return false
-	}
+// accept serves a covered invocation (core.Replica.Accept) and reports its
+// completion. A parked invocation was acknowledged when it parked, so
+// unless it was served as a lease read (nothing cast) the host makes its
+// completion durable before any of its frames leave: a crash before that
+// save retries it from the persisted parked list, one after it
+// re-announces the minted request — never both.
+func (n *node) accept(pi parkedInvoke, parked bool) error {
 	eff := n.takeEff()
 	defer n.putEff(eff)
-	req, ok, err := n.replica.StrongReadLocal(pi.Sess, pi.Op, eff)
+	req, leased, err := n.replica.Accept(pi.Inv, n.leaseHeld, eff)
 	if err != nil {
-		panic(fmt.Sprintf("livenet: lease read on %d: %v", n.id, err))
-	}
-	if !ok {
-		return false
-	}
-	leaseNo := int64(n.replica.CommittedLen())
-	n.h.observe(obsEvent{kind: obsComplete, call: pi.call, sess: pi.Sess, dot: req.Dot, ts: req.Timestamp})
-	n.h.observe(obsEvent{kind: obsLease, dot: req.Dot, no: leaseNo})
-	n.route(*eff)
-	return true
-}
-
-// complete accepts a gated invocation: the clock is fenced above the
-// session vectors, the replica invoked, and the pending call bound to its
-// minted dot. A parked invocation was acknowledged when it parked, so the
-// host makes its completion durable before any of its frames leave: a
-// crash before that save retries it from the persisted parked list, one
-// after it re-announces the minted request — never both.
-func (n *node) complete(pi parkedInvoke, parked bool) {
-	n.replica.FenceClock(pi.Fence)
-	if n.tryLeaseRead(pi) {
-		return
-	}
-	eff := n.takeEff()
-	req, err := n.replica.InvokeFrom(pi.Sess, pi.Op, pi.Level == core.Strong, eff)
-	if err != nil {
-		n.putEff(eff)
-		panic(fmt.Sprintf("livenet: gated invoke on %d: %v", n.id, err))
+		return err
 	}
 	n.h.observe(obsEvent{
-		kind: obsComplete, call: pi.call, sess: pi.Sess,
+		kind: obsComplete, call: pi.call, sess: pi.Inv.Session,
 		dot: req.Dot, ts: req.Timestamp, tob: len(eff.TOBCast) > 0,
 	})
-	if parked {
+	if leased {
+		n.h.observe(obsEvent{kind: obsLease, dot: req.Dot, no: int64(n.replica.CommittedLen())})
+	} else if parked {
 		n.h.persistBeforeSend(eff.TOBCast)
 	}
 	n.route(*eff)
-	n.putEff(eff)
+	return nil
 }
 
 // retryParked completes every parked invocation whose coverage now holds;
@@ -622,13 +569,15 @@ func (n *node) retryParked() bool {
 	progress := false
 	for i := 0; i < len(n.parked); {
 		pi := n.parked[i]
-		if !n.covers(pi) {
+		if !n.replica.Covers(pi.Inv) {
 			i++
 			continue
 		}
-		// Off the list first: the image complete persists must not hold it.
+		// Off the list first: the image accept persists must not hold it.
 		n.parked = slices.Delete(n.parked, i, i+1)
-		n.complete(pi, true)
+		if err := n.accept(pi, true); err != nil {
+			panic(fmt.Sprintf("livenet: gated invoke on %d: %v", n.id, err))
+		}
 		progress = true
 	}
 	return progress
@@ -867,8 +816,8 @@ func (n *node) process(m message) {
 	if n.down {
 		switch m.kind {
 		case msgInvoke:
-			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-			m.reply <- fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, n.id, m.sess)
+			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.inv.Session})
+			m.reply <- fmt.Errorf("%w: %d (session %d)", ErrReplicaDown, n.id, m.inv.Session)
 		case msgCrash:
 			m.reply <- fmt.Errorf("%w: %d already crashed", ErrReplicaDown, n.id)
 		case msgRecover:
@@ -894,52 +843,24 @@ func (n *node) process(m message) {
 	n.flushFwd()
 	switch m.kind {
 	case msgInvoke:
-		level := core.Weak
-		if m.strong {
-			level = core.Strong
-		}
-		pi := parkedInvoke{
-			Sess: m.sess, Op: m.op, Level: level, call: m.call,
-			Read: m.read, Write: m.write, Fence: m.fence,
-			CastOK: m.castOK, CastCeil: m.castCeil,
-		}
-		if m.gated {
-			// Guarantee-gated: the pending call already holds the session's
-			// busy mark; accept, park, or reject on coverage.
-			switch {
-			case n.covers(pi):
-				n.complete(pi, false)
-				m.reply <- nil
-			case m.failFast:
-				n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-				m.reply <- fmt.Errorf("%w: session %d at replica %d", record.ErrGuarantee, m.sess, n.id)
-			default:
-				n.parked = append(n.parked, pi)
-				m.reply <- nil
+		// The pending call already holds the session's busy mark: accept,
+		// park, or reject on coverage.
+		pi := parkedInvoke{Inv: m.inv, call: m.call}
+		switch {
+		case n.replica.Covers(m.inv):
+			if err := n.accept(pi, false); err != nil {
+				n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.inv.Session})
+				m.reply <- fmt.Errorf("livenet: invoke on %d: %w", n.id, err)
+				return
 			}
-			return
-		}
-		// Plain session: the busy mark was taken at the client
-		// (PendingInvoke), so acceptance is unconditional.
-		if n.tryLeaseRead(pi) {
 			m.reply <- nil
-			return
+		case m.failFast:
+			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.inv.Session})
+			m.reply <- fmt.Errorf("%w: session %d at replica %d", record.ErrGuarantee, m.inv.Session, n.id)
+		default:
+			n.parked = append(n.parked, pi)
+			m.reply <- nil
 		}
-		eff := n.takeEff()
-		req, err := n.replica.InvokeFrom(m.sess, m.op, m.strong, eff)
-		if err != nil {
-			n.putEff(eff)
-			n.h.observe(obsEvent{kind: obsCancel, call: m.call, sess: m.sess})
-			m.reply <- fmt.Errorf("livenet: invoke on %d: %w", n.id, err)
-			return
-		}
-		n.h.observe(obsEvent{
-			kind: obsComplete, call: m.call, sess: m.sess,
-			dot: req.Dot, ts: req.Timestamp, tob: len(eff.TOBCast) > 0,
-		})
-		n.route(*eff)
-		n.putEff(eff)
-		m.reply <- nil
 	case msgForward:
 		// Forwards to the sequencer were buffered above; one addressed to
 		// anybody else was misrouted and is dropped.

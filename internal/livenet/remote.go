@@ -409,18 +409,18 @@ func (r *remoteNode) serveController(conn *wire.Conn) {
 		}
 		switch env.Kind {
 		case wire.KindInvoke:
+			level := core.Weak
+			if env.Strong {
+				level = core.Strong
+			}
 			go r.serveSubmit(conn, env.Seq, message{
-				kind:     msgInvoke,
-				sess:     core.SessionID(env.Sess),
-				op:       env.Op,
-				strong:   env.Strong,
-				gated:    env.Gated,
+				kind: msgInvoke,
+				inv: core.Invocation{
+					Session: core.SessionID(env.Sess), Op: env.Op, Level: level,
+					Read: env.Read, Write: env.Write, Fence: env.Fence,
+					CastOK: env.CastOK, CastCeil: env.CastCeil,
+				},
 				failFast: env.FailFast,
-				read:     env.Read,
-				write:    env.Write,
-				fence:    env.Fence,
-				castOK:   env.CastOK,
-				castCeil: env.CastCeil,
 			})
 		case wire.KindCrash:
 			go r.serveSubmit(conn, env.Seq, message{kind: msgCrash})
@@ -439,9 +439,9 @@ func (r *remoteNode) serveController(conn *wire.Conn) {
 
 // serveSubmit runs an invocation or a crash/recover RPC on the node
 // goroutine and replies with its verdict. An invocation's envelope carries
-// everything the in-process client would have computed against the
-// recorder (frozen demand vectors, lease gate), and the node treats it
-// exactly like an in-process invoke with a nil call pointer.
+// the core.Invocation the controller's recorder admitted (frozen demand
+// vectors, fence, lease gate), and the node treats it exactly like an
+// in-process invoke with a nil call pointer.
 func (r *remoteNode) serveSubmit(conn *wire.Conn, seq uint64, m message) {
 	m.reply = make(chan error, 1)
 	r.deliver(m)

@@ -56,15 +56,14 @@ type Call struct {
 	level   core.Level
 	tobCast bool
 
-	// Frozen demand-vector witnesses (FreezeDemands): the coverage the
-	// serving replica will actually enforce for this invocation, captured at
-	// submission while the session's busy mark already held the vectors
-	// still. CompleteInvoke attaches these to the history event, so the
-	// Coverage checker verifies exactly what was enforced — re-deriving the
-	// demand at acceptance could compact a frontier dot into a committed
-	// watermark the replica never checked (a commit landing between
-	// submission and acceptance) and report a phantom violation.
-	frozen      bool
+	// Frozen demand-vector witnesses (Admit): the coverage the serving
+	// replica enforces for this invocation, captured at admission while the
+	// session's busy mark already held the vectors still. CompleteInvoke
+	// attaches these to the history event, so the Coverage checker verifies
+	// exactly what was enforced — re-deriving the demand at acceptance could
+	// compact a frontier dot into a committed watermark the replica never
+	// checked (a commit landing between admission and acceptance) and
+	// report a phantom violation.
 	frozenRead  core.Vec
 	frozenWrite core.Vec
 
@@ -392,15 +391,14 @@ func (c *Call) setTerminalLocked() {
 // several events share a driver instant.
 type Recorder struct {
 	mu       sync.Mutex
-	seq      int64                             // guarded by mu
-	stableAt int64                             // guarded by mu
-	calls    map[core.Dot]*Call                // guarded by mu
-	callList []*Call                           // guarded by mu
-	events   map[core.Dot]*history.Event       // guarded by mu
-	order    []core.Dot                        // guarded by mu
-	tobNos   map[core.Dot]int64                // guarded by mu
-	lastOf   map[core.SessionID]*history.Event // guarded by mu
-	tobCast  int                               // guarded by mu
+	seq      int64                       // guarded by mu
+	stableAt int64                       // guarded by mu
+	calls    map[core.Dot]*Call          // guarded by mu
+	callList []*Call                     // guarded by mu
+	events   map[core.Dot]*history.Event // guarded by mu
+	order    []core.Dot                  // guarded by mu
+	tobNos   map[core.Dot]int64          // guarded by mu
+	tobCast  int                         // guarded by mu
 
 	// commitOrder indexes the shared committed prefix by TOB position
 	// (commitOrder[i] committed at position i+1): every delivery lands here
@@ -422,17 +420,14 @@ type Recorder struct {
 	// The session-guarantee table: read/write vectors ride here — on the
 	// shared observation layer, not on Req — so both drivers enforce the
 	// same coverage demands and a migrating session carries its vectors
-	// with it for free. parked tracks un-minted invocations (coverage
-	// gates) so SessionBusy covers them.
-	guar   map[core.SessionID]*guarSession // guarded by mu
-	parked map[core.SessionID]*Call        // guarded by mu
+	// with it for free.
+	guar map[core.SessionID]*guarSession // guarded by mu
 
-	// bound is the session registry: a session is a sequential client
+	// sessions is the session registry: a session is a sequential client
 	// (§3.2) and replicas know nothing of it, so the one table lives here,
 	// on the client side of every substrate. Ids are minted densely — a
-	// session is known iff it indexes bound — and bound[s] is the replica
-	// the session currently invokes at by default.
-	bound []int // guarded by mu
+	// session is known iff it indexes sessions.
+	sessions []sessionSlot // guarded by mu
 
 	// leaseTrack, when non-nil (EnableLeaseTracking), counts each session's
 	// TOB-cast operations that have not yet been delivered, and the largest
@@ -441,6 +436,17 @@ type Recorder struct {
 	// the session has nothing in flight and everything it cast sits at or
 	// below L. Nil when leases are off, so the weak hot path pays nothing.
 	leaseTrack map[core.SessionID]*leaseSess // guarded by mu
+}
+
+// sessionSlot is one session's row of the registry.
+type sessionSlot struct {
+	// replica is the replica the session currently invokes at by default.
+	replica int
+	// pending is the admitted invocation no replica has accepted yet (its
+	// dot is unminted: queued, or parked on a coverage gate).
+	pending *Call
+	// last is the event of the session's latest accepted invocation.
+	last *history.Event
 }
 
 // leaseSess is one session's lease-gate state (see leaseTrack).
@@ -465,26 +471,25 @@ type guarSession struct {
 // 0..n-1 are pre-opened as one default session per replica (session i bound
 // to replica i); OpenSession mints fresh ids from n on.
 func New(n int) *Recorder {
-	bound := make([]int, n)
-	for i := range bound {
-		bound[i] = i
+	sessions := make([]sessionSlot, n)
+	for i := range sessions {
+		sessions[i].replica = i
 	}
 	return &Recorder{
-		bound:  bound,
-		calls:  make(map[core.Dot]*Call),
-		events: make(map[core.Dot]*history.Event),
-		tobNos: make(map[core.Dot]int64),
-		lastOf: make(map[core.SessionID]*history.Event),
-		guar:   make(map[core.SessionID]*guarSession),
-		parked: make(map[core.SessionID]*Call),
-		lost:   make(map[core.Dot]bool),
+		sessions: sessions,
+		calls:    make(map[core.Dot]*Call),
+		events:   make(map[core.Dot]*history.Event),
+		tobNos:   make(map[core.Dot]int64),
+		guar:     make(map[core.SessionID]*guarSession),
+		lost:     make(map[core.Dot]bool),
 	}
 }
 
 // EnableLeaseTracking switches on the per-session cast/commit bookkeeping
-// the lease-read serve gate needs (SessionCastCommittedWithin). Drivers call
-// it once, at construction, iff leases are enabled — with it off, every
-// recording path skips the tracking entirely.
+// the lease-read serve gate needs (Admit proves the gate into each strong
+// read's invocation). Drivers call it once, at construction, iff leases
+// are enabled — with it off, every recording path skips the tracking
+// entirely.
 func (r *Recorder) EnableLeaseTracking() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -504,47 +509,6 @@ func (r *Recorder) trackCastLocked(session core.SessionID) {
 		r.leaseTrack[session] = ls
 	}
 	ls.castPending++
-}
-
-// SessionCastCommittedWithin reports whether every operation the session has
-// TOB-cast so far is delivered at a position ≤ committedLen — the session-
-// order safety gate for serving a lease read from a committed prefix of that
-// length. Sessions that never cast anything pass trivially. It reports false
-// when lease tracking is disabled: without the bookkeeping the gate cannot
-// be proven, so no lease read may be served.
-func (r *Recorder) SessionCastCommittedWithin(session core.SessionID, committedLen int64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.leaseTrack == nil {
-		return false
-	}
-	ls := r.leaseTrack[session]
-	if ls == nil {
-		return true
-	}
-	return ls.castPending == 0 && ls.maxCommit <= committedLen
-}
-
-// SessionCastCeiling is the shippable form of the lease gate: it returns the
-// largest delivery position among the session's TOB casts, with ok reporting
-// that nothing the session cast is still in flight. A replica may serve the
-// session a local strong read from a committed prefix of length L iff ok and
-// ceil ≤ L — the same predicate as SessionCastCommittedWithin, split so the
-// client can evaluate its session half once and ship (ceil, ok) with the
-// invocation while the replica supplies L. Sessions that never cast pass
-// with (0, true); with lease tracking disabled ok is false (the gate cannot
-// be proven, so no lease read may be served).
-func (r *Recorder) SessionCastCeiling(session core.SessionID) (ceil int64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.leaseTrack == nil {
-		return 0, false
-	}
-	ls := r.leaseTrack[session]
-	if ls == nil {
-		return 0, true
-	}
-	return ls.maxCommit, ls.castPending == 0
 }
 
 // LeaseServed marks the event of an already-recorded invocation as a lease
@@ -572,25 +536,14 @@ func (r *Recorder) SetGuarantees(session core.SessionID, g core.Guarantee, mode 
 	r.guar[session] = &guarSession{g: g, mode: mode}
 }
 
-// Guarantees returns the session's guarantee mask and mode (zero mask for
-// plain sessions).
-func (r *Recorder) Guarantees(session core.SessionID) (core.Guarantee, core.GuaranteeMode) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if gs := r.guar[session]; gs != nil {
-		return gs.g, gs.mode
-	}
-	return 0, core.WaitForCoverage
-}
-
 // OpenSession mints a fresh sequential session bound to the given replica.
 // Any number of sessions may share a replica. The caller validates replica
 // against its deployment; the table only stores it.
 func (r *Recorder) OpenSession(replica int) core.SessionID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.bound = append(r.bound, replica)
-	return core.SessionID(len(r.bound) - 1)
+	r.sessions = append(r.sessions, sessionSlot{replica: replica})
+	return core.SessionID(len(r.sessions) - 1)
 }
 
 // SessionReplica returns the replica a session is bound to.
@@ -600,7 +553,7 @@ func (r *Recorder) SessionReplica(session core.SessionID) (int, bool) {
 	if r.knownLocked(session) != nil {
 		return 0, false
 	}
-	return r.bound[session], true
+	return r.sessions[session].replica, true
 }
 
 // BindSession re-binds a session to another replica — the mobile-session
@@ -613,7 +566,7 @@ func (r *Recorder) BindSession(session core.SessionID, replica int) error {
 	if err := r.admitLocked(session); err != nil {
 		return err
 	}
-	r.bound[session] = replica
+	r.sessions[session].replica = replica
 	return nil
 }
 
@@ -625,7 +578,7 @@ func (r *Recorder) KnownSession(session core.SessionID) error {
 }
 
 func (r *Recorder) knownLocked(session core.SessionID) error {
-	if session < 0 || int(session) >= len(r.bound) {
+	if session < 0 || int(session) >= len(r.sessions) {
 		return fmt.Errorf("%w %d", ErrUnknownSession, session)
 	}
 	return nil
@@ -643,23 +596,11 @@ func (r *Recorder) admitLocked(session core.SessionID) error {
 	return nil
 }
 
-// SessionGate is the single-lock invoke gate: the session's guarantee mask
-// and mode, plus the admission verdict (ErrUnknownSession, ErrSessionBusy).
-// The simulator calls it once per invocation — the plain-session hot path
-// pays exactly the one lock SessionBusy cost.
-func (r *Recorder) SessionGate(session core.SessionID) (g core.Guarantee, mode core.GuaranteeMode, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if gs := r.guar[session]; gs != nil {
-		g, mode = gs.g, gs.mode
-	}
-	return g, mode, r.admitLocked(session)
-}
-
 // SessionBusy reports whether the session's latest invocation is still
 // awaiting its response (including an invocation parked on a coverage
-// gate). Drivers check it before invoking the replica so a rejected
-// invocation leaves no trace in the protocol state.
+// gate) — the condition under which Admit refuses the session, so a
+// rejected invocation leaves no trace in the protocol state. Unknown
+// sessions are not busy.
 func (r *Recorder) SessionBusy(session core.SessionID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -667,11 +608,14 @@ func (r *Recorder) SessionBusy(session core.SessionID) bool {
 }
 
 func (r *Recorder) busyLocked(session core.SessionID) bool {
-	if r.parked[session] != nil {
+	if r.knownLocked(session) != nil {
+		return false
+	}
+	s := &r.sessions[session]
+	if s.pending != nil {
 		return true
 	}
-	last := r.lastOf[session]
-	return last != nil && last.Pending && !r.lost[last.Dot]
+	return s.last != nil && s.last.Pending && !r.lost[s.last.Dot]
 }
 
 // Demands assembles the coverage vectors a replica must dominate before
@@ -720,27 +664,51 @@ func (r *Recorder) demandsLocked(gs *guarSession, updating bool) (read, write co
 	return read, write, fence
 }
 
-// PendingInvoke atomically marks the session busy and mints the client's
-// call handle for an invocation that has not yet been accepted by a replica
-// (its dot is unminted); an unknown or busy session is rejected
-// (ErrUnknownSession, ErrSessionBusy). Guarantee-aware drivers create the
-// call first, then either complete it immediately (coverage holds), park it
-// (coverage pending), or cancel it (fail-fast / replica down).
-func (r *Recorder) PendingInvoke(session core.SessionID, op spec.Op, level core.Level, wall int64) (*Call, error) {
+// Admit is the client half of every invocation, on every driver. Under one
+// lock it admits the session (ErrUnknownSession, ErrSessionBusy), marks it
+// busy with a fresh pending call (its dot is minted when a replica accepts
+// it: CompleteInvoke), and freezes into the returned core.Invocation what
+// the serving replica needs from the session — the demand vectors and clock
+// fence of a guarantee-carrying session (see Demands), which the call also
+// keeps as its coverage witnesses, and the lease-read cast gate of a strong
+// read when lease tracking is on. The busy mark holds all of it still until
+// the call resolves, so the frozen form is exactly what the replica
+// enforces however long the invocation is queued or parked. mode is the
+// session's coverage mode (WaitForCoverage for plain sessions, which are
+// always covered). The driver then completes the call (the replica covers
+// the invocation), parks it (coverage pending), or cancels it (fail-fast,
+// replica down).
+func (r *Recorder) Admit(session core.SessionID, op spec.Op, level core.Level, wall int64) (call *Call, inv core.Invocation, mode core.GuaranteeMode, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.admitLocked(session); err != nil {
-		return nil, err
+		return nil, core.Invocation{}, core.WaitForCoverage, err
 	}
-	call := &Call{
+	call = &Call{
 		session: session, op: op, level: level,
 		wallInvoke: wall,
 		doneCh:     make(chan struct{}),
 		termCh:     make(chan struct{}),
 	}
-	r.parked[session] = call
+	r.sessions[session].pending = call
 	r.callList = append(r.callList, call)
-	return call, nil
+	inv = core.Invocation{Session: session, Op: op, Level: level}
+	if gs := r.guar[session]; gs != nil {
+		mode = gs.mode
+		inv.Read, inv.Write, inv.Fence = r.demandsLocked(gs, !op.ReadOnly())
+		call.frozenRead, call.frozenWrite = inv.Read, inv.Write
+	}
+	if r.leaseTrack != nil && level == core.Strong && op.ReadOnly() {
+		// The session half of the lease-read gate: a replica may serve
+		// the read from a committed prefix of length L iff nothing the
+		// session cast is in flight and all of it sits at or below L.
+		// Sessions that never cast pass with (0, true).
+		inv.CastOK = true
+		if ls := r.leaseTrack[session]; ls != nil {
+			inv.CastCeil, inv.CastOK = ls.maxCommit, ls.castPending == 0
+		}
+	}
+	return call, inv, mode, nil
 }
 
 // PendingCall returns the session's un-minted pending invocation, nil when
@@ -750,27 +718,10 @@ func (r *Recorder) PendingInvoke(session core.SessionID, op spec.Op, level core.
 func (r *Recorder) PendingCall(session core.SessionID) *Call {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.parked[session]
-}
-
-// FreezeDemands assembles the session's coverage demand (see Demands) and
-// freezes it on the pending call as the witness CompleteInvoke will attach.
-// Drivers call it right after PendingInvoke — the busy mark guarantees the
-// vectors cannot move until the call resolves, so the frozen form is exactly
-// what the serving replica enforces, however long the invocation is queued
-// or parked.
-func (r *Recorder) FreezeDemands(call *Call, updating bool) (read, write core.Vec, fence int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	gs := r.guar[call.session]
-	if gs == nil {
-		return
+	if r.knownLocked(session) != nil {
+		return nil
 	}
-	read, write, fence = r.demandsLocked(gs, updating)
-	call.frozen = true
-	call.frozenRead = read
-	call.frozenWrite = write
-	return read, write, fence
+	return r.sessions[session].pending
 }
 
 // CompleteInvoke records the acceptance of a previously pending invocation:
@@ -780,8 +731,9 @@ func (r *Recorder) FreezeDemands(call *Call, updating bool) (read, write core.Ve
 // attached, and the session's write vector absorbs the new dot.
 func (r *Recorder) CompleteInvoke(call *Call, d core.Dot, ts int64, tobCast bool, wall int64) {
 	r.mu.Lock()
-	if r.parked[call.session] == call {
-		delete(r.parked, call.session)
+	slot := &r.sessions[call.session]
+	if slot.pending == call {
+		slot.pending = nil
 	}
 	r.seq++
 	e := &history.Event{
@@ -796,10 +748,10 @@ func (r *Recorder) CompleteInvoke(call *Call, d core.Dot, ts int64, tobCast bool
 		TOBCast:    tobCast,
 		TOBNo:      -1,
 	}
-	r.attachGuaranteesLocked(e, call, call.session, d, ts)
+	r.attachGuaranteesLocked(e, call, d, ts)
 	r.calls[d] = call
 	r.events[d] = e
-	r.lastOf[call.session] = e
+	slot.last = e
 	r.order = append(r.order, d)
 	if tobCast {
 		r.tobCast++
@@ -813,15 +765,16 @@ func (r *Recorder) CompleteInvoke(call *Call, d core.Dot, ts int64, tobCast bool
 // (fail-fast coverage miss, the target was down, or the deployment stopped
 // underneath it): the session's busy mark clears and the call handle is
 // discarded. Calling it on an invocation a replica already completed is a
-// no-op — the parked entry is the pending state, and CompleteInvoke clears
+// no-op — the pending slot is the pending state, and CompleteInvoke clears
 // it under the same lock.
 func (r *Recorder) CancelInvoke(call *Call) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.parked[call.session] != call {
+	slot := &r.sessions[call.session]
+	if slot.pending != call {
 		return
 	}
-	delete(r.parked, call.session)
+	slot.pending = nil
 	for i := len(r.callList) - 1; i >= 0; i-- {
 		if r.callList[i] == call {
 			r.callList = append(r.callList[:i], r.callList[i+1:]...)
@@ -831,65 +784,19 @@ func (r *Recorder) CancelInvoke(call *Call) {
 }
 
 // attachGuaranteesLocked stamps a new event with its session's guarantee
-// mask and demand-vector witnesses (the coverage that was enforced for it),
-// then folds the event's own dot into the session's write vector. A call
-// carrying frozen witnesses (FreezeDemands) contributes them verbatim —
-// they are what the replica checked; re-deriving here could compact past
-// them (see Call.frozen).
-func (r *Recorder) attachGuaranteesLocked(e *history.Event, call *Call, session core.SessionID, d core.Dot, ts int64) {
-	gs := r.guar[session]
+// mask and the call's frozen demand-vector witnesses (the coverage that was
+// enforced for it: see Call.frozenRead), then folds the event's own dot
+// into the session's write vector.
+func (r *Recorder) attachGuaranteesLocked(e *history.Event, call *Call, d core.Dot, ts int64) {
+	gs := r.guar[call.session]
 	if gs == nil {
 		return
 	}
 	e.Guarantees = gs.g
-	if call != nil && call.frozen {
-		e.ReadVec, e.WriteVec = call.frozenRead, call.frozenWrite
-	} else {
-		e.ReadVec, e.WriteVec, _ = r.demandsLocked(gs, !e.Op.ReadOnly())
-	}
+	e.ReadVec, e.WriteVec = call.frozenRead, call.frozenWrite
 	if !e.Op.ReadOnly() && gs.g&(core.ReadYourWrites|core.MonotonicWrites) != 0 {
 		gs.write.Add(d, ts)
 	}
-}
-
-// Invoked records a new invocation and returns its call handle. Requests
-// attributed to core.NoSession are not recorded and yield nil.
-func (r *Recorder) Invoked(session core.SessionID, d core.Dot, op spec.Op, level core.Level, ts int64, tobCast bool, wall int64) *Call {
-	if session == core.NoSession {
-		return nil
-	}
-	call := &Call{
-		dot: d, session: session, op: op, level: level, tobCast: tobCast,
-		wallInvoke: wall,
-		doneCh:     make(chan struct{}),
-		termCh:     make(chan struct{}),
-	}
-	r.mu.Lock()
-	r.seq++
-	e := &history.Event{
-		Session:    session,
-		Op:         op,
-		Level:      level,
-		Pending:    true,
-		Invoke:     r.seq,
-		WallInvoke: wall,
-		Dot:        d,
-		Timestamp:  ts,
-		TOBCast:    tobCast,
-		TOBNo:      -1,
-	}
-	r.attachGuaranteesLocked(e, nil, session, d, ts)
-	r.calls[d] = call
-	r.callList = append(r.callList, call)
-	r.events[d] = e
-	r.lastOf[session] = e
-	r.order = append(r.order, d)
-	if tobCast {
-		r.tobCast++
-		r.trackCastLocked(session)
-	}
-	r.mu.Unlock()
-	return call
 }
 
 // Responded records a response effect, completing the matching call.

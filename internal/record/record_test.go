@@ -17,18 +17,30 @@ func resp(d core.Dot, op spec.Op, v spec.Value, committed bool) core.Response {
 	return core.Response{Req: core.Req{Dot: d, Op: op}, Value: v, Committed: committed}
 }
 
+// invoked admits an invocation and completes it at once with the given
+// dot, as a driver does when the serving replica covers it immediately.
+func invoked(t *testing.T, r *Recorder, sess core.SessionID, d core.Dot, op spec.Op, level core.Level, ts int64, tobCast bool, wall int64) *Call {
+	t.Helper()
+	call, _, _, err := r.Admit(sess, op, level, wall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.CompleteInvoke(call, d, ts, tobCast, wall)
+	return call
+}
+
 func TestSessionBusyAndHistoryKeying(t *testing.T) {
 	r := New(8)
 	d1, d2 := dot(0, 1), dot(0, 2)
 	// Two sessions on the same replica: each keys its own history lane.
-	r.Invoked(5, d1, spec.Append("a"), core.Weak, 1, true, 10)
+	invoked(t, r, 5, d1, spec.Append("a"), core.Weak, 1, true, 10)
 	if !r.SessionBusy(5) {
 		t.Error("session 5 must be busy while its call pends")
 	}
 	if r.SessionBusy(6) {
 		t.Error("session 6 has no calls and cannot be busy")
 	}
-	r.Invoked(6, d2, spec.Append("b"), core.Weak, 2, true, 11)
+	invoked(t, r, 6, d2, spec.Append("b"), core.Weak, 2, true, 11)
 	r.Responded(resp(d1, spec.Append("a"), "a", false), 12)
 	if r.SessionBusy(5) {
 		t.Error("session 5 must be free after its response")
@@ -48,8 +60,8 @@ func TestSessionBusyAndHistoryKeying(t *testing.T) {
 
 func TestNoSessionInvocationsAreNotRecorded(t *testing.T) {
 	r := New(8)
-	if call := r.Invoked(core.NoSession, dot(0, 1), spec.Append("x"), core.Weak, 1, false, 0); call != nil {
-		t.Fatal("NoSession invocations must not produce call handles")
+	if call, _, _, err := r.Admit(-1, spec.Append("x"), core.Weak, 0); call != nil || !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("Admit(-1) = %p, %v, want no call and ErrUnknownSession", call, err)
 	}
 	if got := len(r.Calls()); got != 0 {
 		t.Errorf("recorded %d calls, want 0", got)
@@ -60,7 +72,7 @@ func TestCallLifecycleWeakUpdate(t *testing.T) {
 	r := New(8)
 	d := dot(1, 1)
 	op := spec.Append("v")
-	call := r.Invoked(3, d, op, core.Weak, 1, true, 0)
+	call := invoked(t, r, 3, d, op, core.Weak, 1, true, 0)
 	if call.Terminal() {
 		t.Fatal("fresh call cannot be terminal")
 	}
@@ -97,7 +109,7 @@ func TestUpdatesSubscriptionReplaysAndCloses(t *testing.T) {
 	r := New(8)
 	d := dot(0, 1)
 	op := spec.Append("x")
-	call := r.Invoked(2, d, op, core.Weak, 1, true, 0)
+	call := invoked(t, r, 2, d, op, core.Weak, 1, true, 0)
 	r.Transition(core.Transition{Dot: d, Status: core.StatusTentative, Value: "x"}, 1)
 	r.Responded(resp(d, op, "x", false), 1)
 
@@ -132,12 +144,12 @@ func TestUpdatesSubscriptionReplaysAndCloses(t *testing.T) {
 func TestStrongAndReadOnlyTerminality(t *testing.T) {
 	r := New(8)
 	strongDot, roDot := dot(0, 1), dot(0, 2)
-	strong := r.Invoked(1, strongDot, spec.Append("s"), core.Strong, 1, true, 0)
+	strong := invoked(t, r, 1, strongDot, spec.Append("s"), core.Strong, 1, true, 0)
 	r.Responded(resp(strongDot, spec.Append("s"), "s", true), 1)
 	if !strong.Terminal() {
 		t.Error("committed strong response must be terminal")
 	}
-	ro := r.Invoked(2, roDot, spec.ListRead(), core.Weak, 2, false, 0)
+	ro := invoked(t, r, 2, roDot, spec.ListRead(), core.Weak, 2, false, 0)
 	r.Responded(resp(roDot, spec.ListRead(), "s", false), 2)
 	if !ro.Terminal() {
 		t.Error("never-TOB-cast weak read must be terminal at its response")
@@ -156,7 +168,7 @@ func TestConcurrentPublishAndSubscribe(t *testing.T) {
 	r := New(8)
 	d := dot(0, 1)
 	op := spec.Append("x")
-	call := r.Invoked(1, d, op, core.Weak, 1, true, 0)
+	call := invoked(t, r, 1, d, op, core.Weak, 1, true, 0)
 
 	const updates = 100
 	var wg sync.WaitGroup
@@ -191,12 +203,12 @@ func TestConcurrentPublishAndSubscribe(t *testing.T) {
 // not live event records — assembling a history (and reading it) while
 // responses keep landing is exactly what the live driver does.
 func TestHistorySnapshotWhileResponding(t *testing.T) {
-	r := New(8)
 	const n = 200
+	r := New(n)
 	ops := make([]core.Dot, n)
 	for i := range ops {
 		ops[i] = dot(0, int64(i+1))
-		r.Invoked(core.SessionID(i), ops[i], spec.Append("x"), core.Weak, int64(i), true, int64(i))
+		invoked(t, r, core.SessionID(i), ops[i], spec.Append("x"), core.Weak, int64(i), true, int64(i))
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -226,18 +238,16 @@ func TestHistorySnapshotWhileResponding(t *testing.T) {
 // --- session-guarantee table ------------------------------------------------
 
 func TestGuaranteeVectorsAndDemands(t *testing.T) {
-	r := New(8)
+	r := New(10)
 	r.SetGuarantees(7, core.ReadYourWrites|core.MonotonicReads, core.WaitForCoverage)
-	if g, mode := r.Guarantees(7); g != core.ReadYourWrites|core.MonotonicReads || mode != core.WaitForCoverage {
-		t.Fatalf("Guarantees(7) = %v, %v", g, mode)
-	}
-	if g, _, err := r.SessionGate(7); g == 0 || err != nil {
-		t.Fatalf("gate = %v err=%v", g, err)
-	}
 
 	// A write enters the write vector (→ read demand under RYW).
 	d1 := dot(0, 1)
-	r.Invoked(7, d1, spec.Append("a"), core.Weak, 10, true, 1)
+	call, inv, mode, err := r.Admit(7, spec.Append("a"), core.Weak, 1)
+	if err != nil || mode != core.WaitForCoverage || !inv.Read.Empty() || !inv.Write.Empty() {
+		t.Fatalf("Admit(7) = %+v, %v, %v, want empty demands, wait mode", inv, mode, err)
+	}
+	r.CompleteInvoke(call, d1, 10, true, 1)
 	read, write, fence := r.Demands(7, true)
 	if len(read.Frontier) != 1 || read.Frontier[0] != d1 || fence != 10 {
 		t.Fatalf("read demand %+v fence %d, want [%s] 10", read, fence, d1)
@@ -248,9 +258,9 @@ func TestGuaranteeVectorsAndDemands(t *testing.T) {
 
 	// The response's trace feeds the read vector (updating dots only).
 	other := dot(1, 1)
-	r.Invoked(8, other, spec.Append("b"), core.Weak, 5, true, 2)
+	invoked(t, r, 8, other, spec.Append("b"), core.Weak, 5, true, 2)
 	ro := dot(1, 2)
-	r.Invoked(8, ro, spec.ListRead(), core.Weak, 6, false, 3)
+	invoked(t, r, 9, ro, spec.ListRead(), core.Weak, 6, false, 3)
 	r.Responded(core.Response{
 		Req: core.Req{Dot: d1, Op: spec.Append("a")}, Value: "a",
 		Trace: []core.Dot{other, ro},
@@ -279,7 +289,7 @@ func TestGuaranteeVectorsAndDemands(t *testing.T) {
 func TestPendingInvokeLifecycle(t *testing.T) {
 	r := New(8)
 	r.SetGuarantees(3, core.Causal, core.WaitForCoverage)
-	call, err := r.PendingInvoke(3, spec.Append("x"), core.Weak, 1)
+	call, _, _, err := r.Admit(3, spec.Append("x"), core.Weak, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +299,7 @@ func TestPendingInvokeLifecycle(t *testing.T) {
 	if (call.Dot() != core.Dot{}) {
 		t.Error("pending calls have no dot yet")
 	}
-	if _, err := r.PendingInvoke(3, spec.Append("y"), core.Weak, 2); err == nil {
+	if _, _, _, err := r.Admit(3, spec.Append("y"), core.Weak, 2); !errors.Is(err, ErrSessionBusy) {
 		t.Error("a second pending invoke on the session must be rejected")
 	}
 	if got := len(r.Calls()); got != 1 {
@@ -329,12 +339,63 @@ func TestPendingInvokeLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdmitFreezesDemandsAndCastGate pins what Admit freezes into the
+// invocation: the session's demands as Demands computes them, kept as the
+// event's witnesses even when a commit lands before the replica accepts
+// (re-deriving then would compact the frontier dot into a watermark the
+// replica never checked), and the lease-read cast gate, proven only for a
+// strong read with lease tracking on.
+func TestAdmitFreezesDemandsAndCastGate(t *testing.T) {
+	r := New(4)
+	r.EnableLeaseTracking()
+	r.SetGuarantees(3, core.ReadYourWrites, core.WaitForCoverage)
+	w := dot(3, 1)
+	invoked(t, r, 3, w, spec.Append("w"), core.Weak, 7, true, 1)
+	r.Responded(resp(w, spec.Append("w"), "w", false), 2)
+
+	read := spec.ListRead()
+	call, inv, _, err := r.Admit(3, read, core.Strong, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Read.Frontier) != 1 || inv.Read.Frontier[0] != w || inv.Fence != 7 {
+		t.Errorf("frozen read demand %+v fence %d, want [%s] 7", inv.Read, inv.Fence, w)
+	}
+	if inv.CastOK {
+		t.Error("cast gate proven while the session's write is still in flight")
+	}
+	r.TOBDelivered(w, 1) // lands between admission and acceptance
+	r.CompleteInvoke(call, dot(0, 1), 8, true, 4)
+	h, err := r.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Events[1].ReadVec; got.CommitLen != 0 || len(got.Frontier) != 1 {
+		t.Errorf("witness %+v re-derived after admission, want the frozen frontier", got)
+	}
+	r.TOBDelivered(dot(0, 1), 2)
+	r.Responded(resp(dot(0, 1), read, "w", true), 5)
+
+	if _, inv, _, _ := r.Admit(3, read, core.Strong, 6); !inv.CastOK || inv.CastCeil != 2 {
+		t.Errorf("cast gate (%d, %v), want (2, true) once every cast is delivered", inv.CastCeil, inv.CastOK)
+	}
+	if _, inv, _, _ := r.Admit(2, read, core.Weak, 6); inv.CastOK {
+		t.Error("cast gate proven for a weak read")
+	}
+	if _, inv, _, _ := r.Admit(1, read, core.Strong, 6); !inv.CastOK || inv.CastCeil != 0 {
+		t.Errorf("session that never cast: gate (%d, %v), want (0, true)", inv.CastCeil, inv.CastOK)
+	}
+	if _, inv, _, _ := New(1).Admit(0, read, core.Strong, 0); inv.CastOK {
+		t.Error("cast gate proven without lease tracking")
+	}
+}
+
 func TestCancelInvokeReleasesSession(t *testing.T) {
 	r := New(8)
 	r.SetGuarantees(4, core.ReadYourWrites, core.FailFast)
-	call, err := r.PendingInvoke(4, spec.Append("x"), core.Weak, 1)
-	if err != nil {
-		t.Fatal(err)
+	call, _, mode, err := r.Admit(4, spec.Append("x"), core.Weak, 1)
+	if err != nil || mode != core.FailFast {
+		t.Fatalf("Admit(4) mode %v err %v, want fail-fast", mode, err)
 	}
 	r.CancelInvoke(call)
 	if r.SessionBusy(4) {
@@ -343,7 +404,7 @@ func TestCancelInvokeReleasesSession(t *testing.T) {
 	if got := len(r.Calls()); got != 0 {
 		t.Errorf("cancelled call must be delisted, got %d", got)
 	}
-	if _, err := r.PendingInvoke(4, spec.Append("y"), core.Weak, 2); err != nil {
+	if _, _, _, err := r.Admit(4, spec.Append("y"), core.Weak, 2); err != nil {
 		t.Errorf("session must accept a retry after cancel: %v", err)
 	}
 }
@@ -375,18 +436,15 @@ func TestSessionTable(t *testing.T) {
 		if err := r.BindSession(s, 0); !errors.Is(err, ErrUnknownSession) {
 			t.Errorf("BindSession(%d) = %v, want ErrUnknownSession", s, err)
 		}
-		if _, err := r.PendingInvoke(s, spec.Append("x"), core.Weak, 0); !errors.Is(err, ErrUnknownSession) {
-			t.Errorf("PendingInvoke(%d) = %v, want ErrUnknownSession", s, err)
-		}
-		if _, _, err := r.SessionGate(s); !errors.Is(err, ErrUnknownSession) {
-			t.Errorf("SessionGate(%d) = %v, want ErrUnknownSession", s, err)
+		if _, _, _, err := r.Admit(s, spec.Append("x"), core.Weak, 0); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("Admit(%d) = %v, want ErrUnknownSession", s, err)
 		}
 	}
 	if got := len(r.Calls()); got != 0 {
 		t.Fatalf("rejected invocations left %d calls behind", got)
 	}
 
-	call, err := r.PendingInvoke(n, spec.Append("x"), core.Weak, 0)
+	call, _, _, err := r.Admit(n, spec.Append("x"), core.Weak, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ type config struct {
 	// instead of Paxos; replica 0 becomes the (non-fault-tolerant)
 	// primary. The live driver always uses primary commit.
 	UsePrimaryTOB bool
-	// SlowReplicas maps replica ids to an internal-step delay factor for
-	// the progress experiments of §2.3 (simulation only).
-	SlowReplicas map[int]int64
 	// ClockSlowdown maps replica ids to a clock divisor (§2.3's skewed
 	// clock experiment; simulation only).
 	ClockSlowdown map[int]int64
@@ -46,12 +43,6 @@ type config struct {
 	// it has accumulated that many commits past its last checkpoint (0
 	// disables automatic checkpointing). Both drivers support it.
 	CheckpointEvery int
-	// PipelineDepth caps how many consensus slots the strong-path leader
-	// keeps in flight concurrently (0 keeps the Paxos default). Depth 1
-	// restores the classic one-slot-at-a-time baseline the scaling
-	// experiments compare against. Simulation's Paxos TOB only; the live
-	// driver (sequencer total order, no consensus slots) rejects it.
-	PipelineDepth int
 	// LeaderLease lets the total-order leader serve strong read-only
 	// operations locally from its committed prefix with zero proposal
 	// rounds. On the simulator's Paxos TOB the lease is quorum-granted and
@@ -142,23 +133,6 @@ func WithCheckpointEvery(n int) Option {
 	}
 }
 
-// WithPipelineDepth caps how many consensus slots the strong-path leader
-// keeps in flight concurrently. The default window (8) overlaps slot
-// round-trips so strong throughput is bounded by bandwidth instead of
-// latency; depth 1 restores the classic one-slot-at-a-time Paxos the
-// scaling experiments use as their baseline. Simulation only — the live
-// driver's sequencer total order has no consensus slots to pipeline and
-// rejects the option.
-func WithPipelineDepth(n int) Option {
-	return func(o *config) error {
-		if n < 1 {
-			return fmt.Errorf("bayou: WithPipelineDepth(%d): need at least one in-flight slot", n)
-		}
-		o.PipelineDepth = n
-		return nil
-	}
-}
-
 // WithLeaderLease lets the total-order leader serve strong read-only
 // operations locally from its committed prefix — zero proposal rounds, no
 // forwarding — while preserving sequential consistency for the strong
@@ -197,21 +171,6 @@ func WithPeers(addrs ...string) Option {
 func WithPrimaryTOB() Option {
 	return func(o *config) error {
 		o.UsePrimaryTOB = true
-		return nil
-	}
-}
-
-// WithSlowReplica makes one replica process internal steps factor× slower
-// (the §2.3 slow-replica experiments; simulation only).
-func WithSlowReplica(replica int, factor int64) Option {
-	return func(o *config) error {
-		if factor < 1 {
-			return fmt.Errorf("bayou: WithSlowReplica(%d, %d): factor must be ≥ 1", replica, factor)
-		}
-		if o.SlowReplicas == nil {
-			o.SlowReplicas = make(map[int]int64)
-		}
-		o.SlowReplicas[replica] = factor
 		return nil
 	}
 }
